@@ -17,9 +17,8 @@ from . import funcat as fc
 from .dsl import Decl, Workspace, emit_report, load_builtin, parse_file, print_item
 from .errors import (
     CharacteristicTooSmall, InducedMapUndefined, NotASubspace, NotAdmissible,
-    NotMono, NotSplitEndo, NotValidated, ParseError, SortError, SortMismatch,
+    NotMono, NotSplitEndo, NotValidated, PpcatError, SortMismatch,
     UncertifiedPair, UnresolvedReference, UnsupportedRelation, ZeroModule,
-    DimensionMismatch, UnknownVariable,
 )
 from .interp import apply as interp_apply
 from .interp import check_rep_embedding, validate
@@ -33,8 +32,9 @@ from .ppform import dual as pp_dual
 from .rep import RepMorphism, Representation
 from .tensor import purity_pp, purity_tensor, tensor
 
-INPUT_ERRORS = (ParseError, UnresolvedReference, SortError, OSError,
-                DimensionMismatch, UnknownVariable, json.JSONDecodeError, ValueError)
+# every other library error (parse, unresolved name, algebra mismatch, malformed
+# quiver, ...) is an input error; PRECONDITION_ERRORS is tried first
+INPUT_ERRORS = (PpcatError, OSError, json.JSONDecodeError, ValueError)
 PRECONDITION_ERRORS = (NotAdmissible, UncertifiedPair, NotMono, CharacteristicTooSmall,
                        NotSplitEndo, NotValidated, InducedMapUndefined, ZeroModule,
                        UnsupportedRelation, SortMismatch, NotASubspace)
@@ -426,6 +426,9 @@ def cmd_funcat_auslander(args, ws, seed):
 def _functor_by_spec(data, spec):
     kind, _, idx = spec.partition(":")
     k = int(idx)
+    n = len(data.algebra.idempotents)
+    if not 0 <= k < n:
+        raise UnresolvedReference("functor index %d out of range 0..%d" % (k, n - 1))
     if kind == "row":
         return fc.projective_row(data, k)
     if kind == "simple":

@@ -193,7 +193,10 @@ class Parser:
         neg = self.accept("-")
         num = self.integer()
         if self.accept("/"):
+            t = self.peek()
             den = self.integer()
+            if F.is_zero(F.from_int(den)):
+                raise ParseError(t.line, t.col, "a denominator nonzero in %s" % F, t.text)
             val = F.from_fraction(num, den)
         else:
             val = F.from_int(num)

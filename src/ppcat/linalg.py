@@ -3,11 +3,28 @@
 Matrices are immutable, row-major, over one of the fields from `scalars`.
 A Subspace stores the unique reduced row-echelon basis of its row space, so
 two subspaces are equal iff their stored bases are identical.
+
+All elimination (rref, rank, kernel, solve, intersect, Subspace.from_vectors)
+goes through `rref_with_pivots`, which runs one row kernel per field, chosen
+by the characteristic, with no scalar call through the field object:
+
+- over Q, fraction-free Gauss-Jordan on primitive integer rows, in the
+  spirit of Bareiss (1968); each output entry becomes a `Fraction` once;
+- over F_p, Gauss-Jordan on rows of plain ints reduced mod p.
+
+Both do no arithmetic on a row whose pivot-column entry is zero, and
+subtract only on the pivot row's nonzero columns.  The output is the
+canonical RREF, identical to textbook Gauss-Jordan in the field's own
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotASubspace
 
@@ -181,30 +198,126 @@ def hstack(mats):
 
 def rref_with_pivots(m: Matrix):
     """Reduced row echelon form and the list of pivot columns."""
-    F = m.field
-    a = m.row_lists()
+    n, ents = m.cols, m.entries
+    if not ents:
+        return m, []
+    a = [ents[k:k + n] for k in range(0, len(ents), n)]
+    char = m.field.char
+    pivots = _gauss_jordan_mod_p(a, n, char) if char else _gauss_jordan_q(a, n)
+    return Matrix(m.field, m.rows, n, tuple(chain.from_iterable(a))), pivots
+
+
+def _gauss_jordan_mod_p(a, ncols, p):
+    """Reduce the int rows `a` to RREF over F_p in place (each becomes a list);
+    return the pivot columns."""
+    nrows = len(a)
+    for i, row in enumerate(a):
+        a[i] = [x % p for x in row]
     pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot = None
-        for i in range(r, m.rows):
-            if not F.is_zero(a[i][c]):
-                pivot = i
+    for c in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if a[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = F.inv(a[r][c])
-        a[r] = [F.mul(inv, x) for x in a[r]]
-        for i in range(m.rows):
-            if i != r and not F.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[r])]
+        prow = a[i]
+        a[i] = a[r]
+        inv = pow(prow[c], p - 2, p)
+        if inv != 1:
+            prow = [x * inv % p for x in prow]
+        a[r] = prow
+        # columns left of c are zero in every row from r down
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] = (row[j] - f * prow[j]) % p
         pivots.append(c)
-        r += 1
-        if r == m.rows:
+        if r + 1 == nrows:
             break
-    return Matrix.from_rows(F, a) if m.rows else m, pivots
+    return pivots
+
+
+def _gauss_jordan_q(a, ncols):
+    """Reduce the rational rows `a` to RREF in place (each becomes a list of
+    Fractions); return the pivot columns.
+
+    Each row is scaled to a primitive integer vector, and elimination runs on
+    ints: a row with entry f in the pivot column becomes
+    (piv/g)*row - (f/g)*pivot_row, with g = gcd(piv, f), and is then divided
+    by its content.  A row is thus always the primitive multiple of a
+    canonical rational vector, so entries stay as small as the data allows.
+    Once a column is a pivot column it is dropped from every row, and the
+    pivot row keeps its entry there in `heads`: later scalings then touch
+    only the columns still in play.  Fractions are built once, at the end.
+    """
+    nrows = len(a)
+    for i, row in enumerate(a):
+        d = lcm(*[x.denominator for x in row])
+        if d == 1:
+            row = [x.numerator for x in row]
+        else:
+            row = [x.numerator * (d // x.denominator) for x in row]
+        g = gcd(*row)
+        a[i] = row if g < 2 else [x // g for x in row]
+    pivots = []
+    heads = []
+    for c in range(ncols):
+        r = len(pivots)
+        pos = c - r  # where column c sits once the r pivot columns are dropped
+        candidates = [i for i in range(r, nrows) if a[i][pos]]
+        if not candidates:
+            continue
+        # the smallest pivot, made positive, spares most rows the scaling
+        i = min(candidates, key=lambda i: abs(a[i][pos]))
+        prow = a[i]
+        a[i] = a[r]
+        if prow[pos] < 0:
+            prow = [-x for x in prow]
+        a[r] = prow
+        piv = prow.pop(pos)
+        nz = [j for j in range(pos, len(prow)) if prow[j]]
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row.pop(pos)
+            if not f:
+                continue
+            g = gcd(piv, f)
+            f //= g
+            if g == piv:
+                for j in nz:
+                    row[j] -= f * prow[j]
+            else:
+                s = piv // g
+                row = [s * x - f * y for x, y in zip(row, prow)]
+                if i < r:
+                    heads[i] *= s
+            g = gcd(heads[i], *row) if i < r else gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                if i < r:
+                    heads[i] //= g
+            a[i] = row
+        pivots.append(c)
+        heads.append(piv)
+        if r + 1 == nrows:
+            break
+    zero, one = Fraction(0), Fraction(1)
+    taken = set(pivots)
+    free = [j for j in range(ncols) if j not in taken]
+    for i, row in enumerate(a):
+        out = [zero] * ncols
+        if i < len(pivots):
+            out[pivots[i]] = one
+            h = heads[i]
+            for j, x in zip(free, row):
+                if x:
+                    out[j] = Fraction(x, h)
+        a[i] = out
+    return pivots
 
 
 def rref(m: Matrix) -> Matrix:
@@ -252,17 +365,12 @@ class Subspace:
     def dim(self):
         return self.basis.rows
 
-    @property
+    @cached_property
     def pivots(self):
-        ps = []
-        F = self.field
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            for j, x in enumerate(row):
-                if not F.is_zero(x):
-                    ps.append(j)
-                    break
-        return ps
+        """Pivot column of each basis row, computed once (not part of equality)."""
+        F, n, ents = self.basis.field, self.basis.cols, self.basis.entries
+        return tuple(next(j for j in range(n) if not F.is_zero(ents[i * n + j]))
+                     for i in range(self.basis.rows))
 
     def basis_rows(self):
         return [self.basis.row(i) for i in range(self.dim)]

@@ -248,3 +248,39 @@ def test_end_to_end_corpus_sweep():
     for want, argv in runs:
         code, doc, _ = invoke(argv)
         assert code == want, (argv, doc)
+
+
+def test_exit_code_2_on_algebra_mismatch():
+    code, doc, _ = invoke(["tensor", "--builtin", "a3", "--builtin", "a2",
+                           "--left", "L23", "--module", "P1"])
+    assert code == 2
+    assert doc["error_kind"] == "AlgebraMismatch"
+
+
+def test_exit_code_2_on_duplicate_vertex(tmp_path):
+    f = tmp_path / "dup.ppc"
+    f.write_text("field Q;\nquiver A { vertices 1 1; }\n")
+    code, doc, _ = invoke(["eval", "--file", str(f), "--formula", "x", "--module", "y"])
+    assert code == 2
+    assert doc["error_kind"] == "PpcatError"
+    assert "duplicate vertex" in doc["error"]
+
+
+def test_exit_code_2_on_zero_denominator(tmp_path):
+    f = tmp_path / "zero.ppc"
+    f.write_text("""field Q;
+quiver A { vertices 1 2; arrow a: 1 -> 2; }
+algebra K { quiver A; }
+module M over K { dim 1 = 1; dim 2 = 1; map a = [[1/0]]; }
+""")
+    code, doc, _ = invoke(["eval", "--file", str(f), "--formula", "x", "--module", "M"])
+    assert code == 2
+    assert doc["error_kind"] == "ParseError"
+    assert doc["error"].startswith("4:53: expected a denominator nonzero in Q")
+
+
+def test_exit_code_2_on_functor_index_out_of_range():
+    code, doc, _ = invoke(["funcat-eval", "--builtin", "a2", "--modules", "P1,P2,S1",
+                           "--functor", "row:9", "--argument", "P1"])
+    assert code == 2
+    assert doc["error_kind"] == "UnresolvedReference"
