@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import funcat as fc
 from .dsl import Decl, Workspace, emit_report, load_builtin, parse_file, print_item
@@ -29,7 +28,7 @@ from .ppeval import (
     free_realization, pp_implies,
 )
 from .ppform import dual as pp_dual
-from .rep import RepMorphism, Representation
+from .rep import RepMorphism, Representation, are_isomorphic
 from .tensor import purity_pp, purity_tensor, tensor
 
 # every other library error (parse, unresolved name, algebra mismatch, malformed
@@ -52,7 +51,6 @@ def build_parser():
                         help="built-in fixture file name (a2, a3, a1tilde, d4tilde, morita2, keps)")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--mode", choices=("exact", "testset"), default=None)
         sp.add_argument("--test-set", dest="test_set",
                         help="fixture name supplying test modules")
@@ -330,28 +328,16 @@ def cmd_interp_apply(args, ws, seed):
             "module": print_item(decl, out.field)}, {"mode": F.mode}
 
 
-def _pmap(fn, items, jobs):
-    """Map preserving input order; threads only when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_roundtrip(args, ws, seed):
     Ff = ws.get("interp", args.forward)
     Fb = ws.get("interp", args.back)
     validate(Ff)
     validate(Fb)
     mods, listed = _module_list(args, ws)
-
-    def one(pair):
-        k, M = pair
-        from .rep import are_isomorphic
+    results = []
+    for k, M in enumerate(mods):
         r = are_isomorphic(interp_apply(Fb, interp_apply(Ff, M)), M, seed=seed)
-        return {"index": k, "isomorphic": r.isomorphic, "certain": r.certain}
-
-    results = _pmap(one, list(enumerate(mods)), args.jobs)
+        results.append({"index": k, "isomorphic": r.isomorphic, "certain": r.certain})
     return {"modules": listed, "results": results,
             "all_isomorphic": all(r["isomorphic"] for r in results)}, {}
 
@@ -493,7 +479,7 @@ def run(argv=None, stdout=None):
     args = build_parser().parse_args(argv)
     seed = resolve_seed(args)
     inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("command", "out", "jobs") and v not in (None, [], False)}
+              if k not in ("command", "out") and v not in (None, [], False)}
 
     def emit(payload, flags, code):
         text = emit_report(args.command, inputs, payload, seed=seed, **flags)
@@ -516,3 +502,7 @@ def run(argv=None, stdout=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,13 +18,14 @@ from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotSplitEndo, PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, kernel, row_apply, solve, vstack,
+    Matrix, QuotientSpace, Subspace, commuting_equations, commuting_solutions, kernel, rank,
+    row_apply, solve, trace_form_radical, vstack,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
 from .rep import (
-    direct_sum, endo_radical, hom_space, morphism_coordinates,
-    summand_inclusion, summand_projection,
+    direct_sum, endo_radical, find_invertible, hom_space, linear_combination,
+    morphism_coordinates, summand_inclusion, summand_projection,
 )
 
 
@@ -99,20 +100,8 @@ class FiniteAlgebra:
             raise CharacteristicTooSmall(
                 "characteristic %d too small for dim %d" % (F.char, d))
         mats = [self.right_mult_matrix(self.basis_vector(k)) for k in range(d)]
-        gram = Matrix.from_rows(F, [[mats[i].mul(mats[j]).trace() for j in range(d)]
-                                    for i in range(d)])
-        current = Subspace.full(F, d)
-        while True:
-            rows = current.basis_rows()
-            if not rows:
-                return current
-            b = Matrix.from_rows(F, rows)
-            form = b.mul(gram).mul(b.transpose())
-            nxt_vecs = [row_apply(v, b) for v in kernel(form).basis_rows()]
-            nxt = Subspace.from_vectors(F, d, nxt_vecs)
-            if nxt.dim == current.dim:
-                return nxt
-            current = nxt
+        return trace_form_radical(Matrix.from_rows(F, [[a.mul(b).trace() for b in mats]
+                                                        for a in mats]))
 
     def corner(self, k, l):
         """Basis vectors of e_k A e_l."""
@@ -157,13 +146,9 @@ class FiniteAlgebra:
         if F.char != 0 and F.char <= d:
             raise CharacteristicTooSmall("corner check needs larger characteristic")
         rows = c.basis_rows()
-        mats = []
-        for r in rows:
-            m = Matrix.from_rows(F, [c.coordinates(self.mul(b, r)) for b in rows])
-            mats.append(m)
-        gram = Matrix.from_rows(F, [[mats[i].mul(mats[j]).trace() for j in range(d)]
-                                    for i in range(d)])
-        return d - kernel(gram).dim
+        mats = [Matrix.from_rows(F, [c.coordinates(self.mul(b, r)) for b in rows]) for r in rows]
+        gram = Matrix.from_rows(F, [[a.mul(b).trace() for b in mats] for a in mats])
+        return d - trace_form_radical(gram).dim
 
 
 class FinModule:
@@ -265,62 +250,34 @@ class FinModule:
 
 
 def fin_hom(X: FinModule, Y: FinModule):
-    """Basis of module maps X -> Y as dim(X) x dim(Y) matrices on row vectors."""
+    """Basis of module maps X -> Y as dim(X) x dim(Y) matrices on row vectors:
+    the f with f Y(s) = X(s) f for every basis element s."""
     if X.algebra is not Y.algebra:
         raise AlgebraMismatch("hom across algebras")
-    F = X.field
-    total = X.dim * Y.dim
-    rows = []
-    for s in range(X.algebra.dim):
-        A, B = X.action[s], Y.action[s]
-        for i in range(X.dim):
-            for j in range(Y.dim):
-                row = [F.zero()] * total
-                for k in range(X.dim):
-                    row[k * Y.dim + j] = F.add(row[k * Y.dim + j], A.at(i, k))
-                for l in range(Y.dim):
-                    row[i * Y.dim + l] = F.sub(row[i * Y.dim + l], B.at(l, j))
-                rows.append(row)
-    sol = kernel(Matrix.from_rows(F, rows)) if rows else Subspace.full(F, total)
-    return [Matrix(F, X.dim, Y.dim, tuple(vec)) for vec in sol.basis_rows()]
+    squares = [(0, 0, B, A) for A, B in zip(X.action, Y.action)]
+    return [blocks[0] for blocks in commuting_solutions(X.field, [(X.dim, Y.dim)], squares)]
 
 
-def fin_end_residue_dim(X: FinModule) -> int:
-    """dim End(X)/rad End(X) via the iterated trace-form kernel."""
+def fin_is_indecomposable(X: FinModule) -> bool:
+    """Whether End(X)/rad is one-dimensional, rad by the iterated trace form."""
+    if X.dim == 0:
+        raise PpcatError("zero module")
     F = X.field
     basis = fin_hom(X, X)
     d = len(basis)
     if F.char != 0 and F.char <= max(d, X.dim):
         raise CharacteristicTooSmall("characteristic too small for dim End = %d" % d)
-    gram = Matrix.from_rows(F, [[basis[i].mul(basis[j]).trace() for j in range(d)]
-                                for i in range(d)]) if d else Matrix(F, 0, 0, ())
-    current = Subspace.full(F, d)
-    while True:
-        rows = current.basis_rows()
-        if not rows:
-            break
-        b = Matrix.from_rows(F, rows)
-        form = b.mul(gram).mul(b.transpose())
-        nxt = Subspace.from_vectors(F, d, [row_apply(v, b) for v in kernel(form).basis_rows()])
-        if nxt.dim == current.dim:
-            break
-        current = nxt
-    return d - current.dim
-
-
-def fin_is_indecomposable(X: FinModule) -> bool:
-    if X.dim == 0:
-        raise PpcatError("zero module")
-    return fin_end_residue_dim(X) == 1
+    gram = Matrix.from_rows(F, [[f.mul(g).trace() for g in basis] for f in basis])
+    return d - trace_form_radical(gram).dim == 1
 
 
 def fin_are_isomorphic(X: FinModule, Y: FinModule, seed=0):
-    """(isomorphic, certain): search the hom space for an invertible matrix."""
+    """(isomorphic, certain): search the hom space for an invertible matrix
+    (see `rep.find_invertible`)."""
     if X.dim != Y.dim:
         return False, True
     if X.dim == 0:
         return True, True
-    from .linalg import rank
     for ex, ey in zip(X.algebra.idempotents, Y.algebra.idempotents):
         if rank(X.act_vector(ex)) != rank(Y.act_vector(ey)):
             return False, True
@@ -328,30 +285,8 @@ def fin_are_isomorphic(X: FinModule, Y: FinModule, seed=0):
     if not basis or len(basis) != len(fin_hom(Y, X)) \
             or len(fin_hom(X, X)) != len(fin_hom(Y, Y)):
         return False, True
-    F = X.field
-    d = len(basis)
-
-    def combo(coeffs):
-        m = basis[0].scale(coeffs[0])
-        for c, g in zip(coeffs[1:], basis[1:]):
-            m = m.add(g.scale(c))
-        return m
-
-    def invertible(m):
-        return kernel(m).dim == 0
-
-    if F.char != 0 and d <= 4 and F.char ** d <= 2 ** 16:
-        for coeffs in iter_product(range(F.char), repeat=d):
-            if any(coeffs) and invertible(combo([F.from_int(c) for c in coeffs])):
-                return True, True
-        return False, True
-    rng = random.Random(seed)
-    hi = F.char if F.char else 7
-    for _ in range(64):
-        coeffs = [F.from_int(rng.randrange(hi) - (0 if F.char else 3)) for _ in range(d)]
-        if invertible(combo(coeffs)):
-            return True, True
-    return False, False
+    witness, certain = find_invertible(basis, lambda m: kernel(m).dim == 0, seed)
+    return witness is not None, certain
 
 
 # -- the Auslander construction -------------------------------------------
@@ -371,11 +306,13 @@ def auslander_algebra(indecomposables) -> AuslanderData:
     summands = list(indecomposables)
     if not summands:
         raise PpcatError("need at least one indecomposable")
+    ends = []  # (basis of End(M), its radical) per summand
     for M in summands:
         basis = hom_space(M, M)
         rad = endo_radical(M, basis)
         if len(basis) - rad.dim != 1:
             raise NotSplitEndo("input without split local endomorphism ring")
+        ends.append((basis, rad))
     T = direct_sum(summands)
     incls = [summand_inclusion(summands, k) for k in range(len(summands))]
     projs = [summand_projection(summands, k) for k in range(len(summands))]
@@ -389,13 +326,9 @@ def auslander_algebra(indecomposables) -> AuslanderData:
                 idempotent_positions.append(len(labels))
                 labels.append("e%d" % i)
                 morphisms.append(incls[i].compose(projs[i]))
-                basis = hom_space(summands[i], summands[i])
-                rad = endo_radical(summands[i], basis)
+                basis, rad = ends[i]
                 for r, vec in enumerate(rad.basis_rows()):
-                    f = None
-                    for c, g in zip(vec, basis):
-                        part = g.scale(c)
-                        f = part if f is None else f.add(part)
+                    f = linear_combination(basis, vec)
                     labels.append("r%d_%d" % (i, r))
                     morphisms.append(incls[i].compose(f).compose(projs[i]))
             else:
@@ -468,25 +401,13 @@ def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
     ambient = nV * nH
     if ambient == 0:
         return FunctorValue(0, 0, Subspace.zero(F, 0))
-    left_action = []
-    for shat in data.basis_morphisms:
+    # the relations v s (x) h - v (x) s h, written as the commuting squares
+    # of one nV x nH block
+    squares = []
+    for Av, shat in zip(V.action, data.basis_morphisms):
         cols = [morphism_coordinates(h.compose(shat), H) for h in H]
-        left_action.append(Matrix.from_rows(F, cols).transpose())
-    rel_vecs = []
-    for s in range(data.algebra.dim):
-        Av = V.action[s]
-        Ls = left_action[s]
-        for a in range(nV):
-            for c in range(nH):
-                vec = [F.zero()] * ambient
-                for k in range(nV):
-                    if not F.is_zero(Av.at(a, k)):
-                        vec[k * nH + c] = F.add(vec[k * nH + c], Av.at(a, k))
-                for l in range(nH):
-                    if not F.is_zero(Ls.at(l, c)):
-                        vec[a * nH + l] = F.sub(vec[a * nH + l], Ls.at(l, c))
-                rel_vecs.append(tuple(vec))
-    rel = Subspace.from_vectors(F, ambient, rel_vecs)
+        squares.append((0, 0, Matrix.from_rows(F, cols).transpose(), Av))
+    rel = Subspace.from_vectors(F, ambient, commuting_equations(F, [(nV, nH)], squares))
     return FunctorValue(ambient - rel.dim, ambient, rel)
 
 
@@ -651,22 +572,15 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
         candidates = list(bwd.basis)
         trials = 256
         if F_.char != 0 and F_.char ** len(bwd.basis) <= 2 ** 16:
-            candidates = []
-            for coeffs in iter_product(range(F_.char), repeat=len(bwd.basis)):
-                if any(coeffs):
-                    m = bwd.basis[0].scale(F_.from_int(coeffs[0]))
-                    for c, b in zip(coeffs[1:], bwd.basis[1:]):
-                        m = m.add(b.scale(F_.from_int(c)))
-                    candidates.append(m)
+            candidates = [linear_combination(bwd.basis, [F_.from_int(c) for c in coeffs])
+                          for coeffs in iter_product(range(F_.char), repeat=len(bwd.basis))
+                          if any(coeffs)]
             trials = 0
         for _ in range(trials):
             hi = F_.char if F_.char else 7
             coeffs = [F_.from_int(rng.randrange(hi) - (0 if F_.char else 3))
                       for _ in range(len(bwd.basis))]
-            m = bwd.basis[0].scale(coeffs[0])
-            for c, b in zip(coeffs[1:], bwd.basis[1:]):
-                m = m.add(b.scale(c))
-            candidates.append(m)
+            candidates.append(linear_combination(bwd.basis, coeffs))
         for g in candidates:
             f = _solve_left_inverse(fwd, bwd, g, id_i, alg_radical)
             if f is None:
@@ -704,12 +618,7 @@ def _solve_left_inverse(fwd: QHom, bwd: QHom, g: Matrix, id_i: Matrix, alg_radic
     target = list(id_i.entries)
     mat = Matrix.from_rows(F, cols).transpose() if cols else None
     sol = solve(mat, tuple(target))
-    if sol is None:
-        return None
-    f = fwd.basis[0].scale(sol[0])
-    for c, b in zip(sol[1:], fwd.basis[1:]):
-        f = f.add(b.scale(c))
-    return f
+    return None if sol is None else linear_combination(fwd.basis, sol)
 
 
 # -- presenting a quiver algebra as a FiniteAlgebra ------------------------

@@ -196,6 +196,30 @@ def hstack(mats):
     return Matrix(F, rows, sum(m.cols for m in mats), tuple(ents))
 
 
+def _offsets(sizes):
+    out, total = [], 0
+    for n in sizes:
+        out.append(total)
+        total += n
+    return out, total
+
+
+def block_matrix(field, blocks, row_dims, col_dims) -> Matrix:
+    """The matrix cut into row_dims x col_dims blocks, with blocks[(i, j)] as
+    block (i, j) and zeros wherever no block is given."""
+    row_off, nrows = _offsets(row_dims)
+    col_off, ncols = _offsets(col_dims)
+    ents = [[field.zero()] * ncols for _ in range(nrows)]
+    for (bi, bj), b in blocks.items():
+        if b.rows != row_dims[bi] or b.cols != col_dims[bj]:
+            raise DimensionMismatch("block (%d, %d) is %dx%d, expected %dx%d"
+                                    % (bi, bj, b.rows, b.cols, row_dims[bi], col_dims[bj]))
+        ro, co = row_off[bi], col_off[bj]
+        for i in range(b.rows):
+            ents[ro + i][co:co + b.cols] = b.row(i)
+    return Matrix(field, nrows, ncols, tuple(chain.from_iterable(ents)))
+
+
 def rref_with_pivots(m: Matrix):
     """Reduced row echelon form and the list of pivot columns."""
     n, ents = m.cols, m.entries
@@ -457,6 +481,72 @@ def kernel(m: Matrix) -> Subspace:
             v[p] = F.neg(red.at(i, fcol))
         vecs.append(tuple(v))
     return Subspace.from_vectors(F, m.cols, vecs)
+
+
+def commuting_equations(field, shapes, squares):
+    """The rows of the linear system X_t P = Q X_s, one square (s, t, P, Q)
+    after another.
+
+    The unknowns are the entries of the blocks X_k, of shape shapes[k], each
+    block row-major and the blocks in order; each square contributes one
+    equation per entry (i, j) of X_t P - Q X_s, in row-major order.
+    """
+    offsets, total = _offsets(r * c for r, c in shapes)
+    add, sub, zero = field.add, field.sub, field.zero()
+    rows = []
+    for s, t, P, Q in squares:
+        (rs, cs), (rt, ct) = shapes[s], shapes[t]
+        if (P.rows, P.cols, Q.rows, Q.cols) != (ct, cs, rt, rs):
+            raise DimensionMismatch("square does not fit blocks %d and %d" % (s, t))
+        os_, ot = offsets[s], offsets[t]
+        p_cols = [P.col(j) for j in range(cs)]
+        for i in range(rt):
+            q_row = Q.row(i)
+            for j in range(cs):
+                row = [zero] * total
+                for k, x in enumerate(p_cols[j]):
+                    if x:
+                        row[ot + i * ct + k] = add(row[ot + i * ct + k], x)
+                for l, x in enumerate(q_row):
+                    if x:
+                        row[os_ + l * cs + j] = sub(row[os_ + l * cs + j], x)
+                rows.append(row)
+    return rows
+
+
+def commuting_solutions(field, shapes, squares):
+    """A basis of the solutions of X_t P = Q X_s for every square (s, t, P, Q),
+    each solution a tuple of blocks X_k of shape shapes[k].
+
+    This is the kernel of `commuting_equations`, so the basis is canonical.
+    """
+    offsets, total = _offsets(r * c for r, c in shapes)
+    eqs = commuting_equations(field, shapes, squares)
+    sol = kernel(Matrix.from_rows(field, eqs)) if eqs else Subspace.full(field, total)
+    return [tuple(Matrix(field, r, c, vec[o:o + r * c]) for (r, c), o in zip(shapes, offsets))
+            for vec in sol.basis_rows()]
+
+
+def trace_form_radical(gram: Matrix) -> Subspace:
+    """The radical of an algebra in coordinates, from the Gram matrix
+    gram[i][j] = trace(b_i b_j) of a faithful action of its basis.
+
+    The kernel of the trace form, then the kernel of the form restricted to
+    that, and so on until it stops shrinking.  Callers gate the
+    characteristic: over F_p the form can vanish on semisimple elements.
+    """
+    F, d = gram.field, gram.rows
+    current = Subspace.full(F, d)
+    while True:
+        rows = current.basis_rows()
+        if not rows:
+            return current
+        b = Matrix.from_rows(F, rows)
+        form = b.mul(gram).mul(b.transpose())
+        nxt = Subspace.from_vectors(F, d, [row_apply(v, b) for v in kernel(form).basis_rows()])
+        if nxt.dim == current.dim:
+            return nxt
+        current = nxt
 
 
 def image(m: Matrix) -> Subspace:

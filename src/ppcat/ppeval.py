@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, NotAdmissible, SortMismatch, UncertifiedPair
-from .linalg import Matrix, Subspace, contains, kernel, project
+from .linalg import Matrix, Subspace, block_matrix, contains, kernel, project
 from .ppform import PpFormula, PpMap, PpPair, conj, exists, pad_free
 from .quiver import compose, RingElement
 from .rep import RepMorphism, Representation, act, cokernel_of, direct_sum, hom_space
@@ -46,27 +46,13 @@ def eval_formula(f: PpFormula, M: Representation) -> SortedSubspace:
         raise AlgebraMismatch("formula and module over different algebras")
     F = M.field
     variables = f.all_vars()
-    col_offsets = []
-    total_cols = 0
-    for v in variables:
-        col_offsets.append(total_cols)
-        total_cols += M.dims[v.sort]
-    rows = []
-    for eq in f.equations:
-        qdim = M.dims[eq.target]
-        blockrows = [[F.zero()] * total_cols for _ in range(qdim)]
-        for name, coeff in eq.coeffs:
-            idx = next(i for i, v in enumerate(variables) if v.name == name)
-            mat = act(M, coeff)
-            off = col_offsets[idx]
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    blockrows[i][off + j] = F.add(blockrows[i][off + j], mat.at(i, j))
-        rows.extend(blockrows)
-    if rows:
-        sol = kernel(Matrix.from_rows(F, rows))
-    else:
-        sol = Subspace.full(F, total_cols)
+    index = {v.name: k for k, v in enumerate(variables)}
+    # one block row per equation; PpFormula has merged repeated variables
+    system = block_matrix(F, {(e, index[name]): act(M, coeff)
+                              for e, eq in enumerate(f.equations) for name, coeff in eq.coeffs},
+                          [M.dims[eq.target] for eq in f.equations],
+                          [M.dims[v.sort] for v in variables])
+    sol = kernel(system) if system.rows else Subspace.full(F, system.cols)
     nfree = sum(M.dims[v.sort] for v in f.free_vars)
     space = project(sol, range(nfree))
     return SortedSubspace(tuple((v.sort, M.dims[v.sort]) for v in f.free_vars), space)
@@ -83,10 +69,7 @@ def eval_pair(p: PpPair, M: Representation) -> int:
 
 def projective_rep(alg, v) -> Representation:
     """The representable projective at vertex v, on the irreducible-path basis."""
-    cache = getattr(alg, "_projective_cache", None)
-    if cache is None:
-        cache = {}
-        alg._projective_cache = cache
+    cache = alg._projective_cache
     if v in cache:
         return cache[v]
     F = alg.field
@@ -127,24 +110,6 @@ def yoneda_morphism_blocks(alg, from_vertex, to_vertex, r: RingElement):
     return blocks
 
 
-def _block_matrix(F, blocks, row_dims, col_dims):
-    rows_total = sum(row_dims)
-    cols_total = sum(col_dims)
-    ents = [[F.zero()] * cols_total for _ in range(rows_total)]
-    ro = 0
-    for bi, rd in enumerate(row_dims):
-        co = 0
-        for bj, cd in enumerate(col_dims):
-            b = blocks.get((bi, bj))
-            if b is not None:
-                for i in range(rd):
-                    for j in range(cd):
-                        ents[ro + i][co + j] = b.at(i, j)
-            co += cd
-        ro += rd
-    return Matrix.from_rows(F, ents) if rows_total else Matrix(F, 0, cols_total, ())
-
-
 @dataclass
 class FreeRealization:
     formula: PpFormula
@@ -181,7 +146,7 @@ def free_realization(f: PpFormula) -> FreeRealization:
                 blocks[(i, j)] = yb[w]
         row_dims = [p.dims[w] for p in var_projs]
         col_dims = [p.dims[w] for p in eq_projs]
-        blocks_per_vertex[w] = _block_matrix(F, blocks, row_dims, col_dims)
+        blocks_per_vertex[w] = block_matrix(F, blocks, row_dims, col_dims)
     source = direct_sum(eq_projs) if eq_projs else \
         Representation(alg, {w: 0 for w in alg.quiver.vertices}, {}, check=False)
     h = RepMorphism(source, target, blocks_per_vertex, check=False)

@@ -240,6 +240,7 @@ class QuiverAlgebra:
         self._rewrite = self._build_rewriting() if self._shapes_ok else None
         self._hom_cache = {}
         self._paths_cache = {}
+        self._projective_cache = {}  # filled by ppeval.projective_rep
         self._opposite = None
         self.admissible = self._compute_admissible()
 

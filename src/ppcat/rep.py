@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, SortMismatch, ZeroModule,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, image, kernel, solve,
+    Matrix, QuotientSpace, Subspace, block_matrix, commuting_solutions, image, kernel, solve,
+    trace_form_radical,
 )
 from .quiver import QuiverAlgebra, RingElement
 
@@ -102,6 +104,10 @@ class RepMorphism:
     def identity(cls, m: Representation):
         return cls(m, m, {v: Matrix.identity(m.field, m.dims[v]) for v in m.dims}, check=False)
 
+    @property
+    def field(self):
+        return self.source.field
+
     def compose(self, other: "RepMorphism") -> "RepMorphism":
         """self o other (other applied first)."""
         if other.target is not self.source and other.target != self.source:
@@ -163,64 +169,31 @@ def act(m: Representation, r: RingElement) -> Matrix:
     return out
 
 
-def _unknown_offsets(M, N):
-    offsets = {}
-    total = 0
-    for v in M.algebra.quiver.vertices:
-        offsets[v] = total
-        total += N.dims[v] * M.dims[v]
-    return offsets, total
-
-
 def hom_space(M: Representation, N: Representation):
-    """A basis of Hom(M, N), found as the kernel of the commuting-square system."""
+    """A basis of Hom(M, N): blocks f_v (dim N_v x dim M_v) with
+    f_t M(a) = N(a) f_s for every arrow a: s -> t."""
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between representations of different algebras")
-    F = M.field
-    offsets, total = _unknown_offsets(M, N)
-    rows = []
-    for arrow in M.algebra.quiver.arrows:
-        s, t = arrow.source, arrow.target
-        Ma, Na = M.maps[arrow.name], N.maps[arrow.name]
-        # f_t . M(a) = N(a) . f_s, entrywise over dim N(t) x dim M(s)
-        for i in range(N.dims[t]):
-            for j in range(M.dims[s]):
-                row = [F.zero()] * total
-                for k in range(M.dims[t]):
-                    row[offsets[t] + i * M.dims[t] + k] = F.add(
-                        row[offsets[t] + i * M.dims[t] + k], Ma.at(k, j))
-                for l in range(N.dims[s]):
-                    row[offsets[s] + l * M.dims[s] + j] = F.sub(
-                        row[offsets[s] + l * M.dims[s] + j], Na.at(i, l))
-                rows.append(row)
-    if rows:
-        sol = kernel(Matrix.from_rows(F, rows))
-    else:
-        sol = Subspace.full(F, total)
-    basis = []
-    for vec in sol.basis_rows():
-        blocks = {}
-        for v in M.algebra.quiver.vertices:
-            ents = vec[offsets[v]: offsets[v] + N.dims[v] * M.dims[v]]
-            blocks[v] = Matrix(F, N.dims[v], M.dims[v], tuple(ents))
-        basis.append(RepMorphism(M, N, blocks, check=False))
-    return basis
+    verts = M.algebra.quiver.vertices
+    index = {v: k for k, v in enumerate(verts)}
+    shapes = [(N.dims[v], M.dims[v]) for v in verts]
+    squares = [(index[a.source], index[a.target], M.maps[a.name], N.maps[a.name])
+               for a in M.algebra.quiver.arrows]
+    return [RepMorphism(M, N, dict(zip(verts, blocks)), check=False)
+            for blocks in commuting_solutions(M.field, shapes, squares)]
 
 
 def morphism_coordinates(f: RepMorphism, basis):
     """Coordinates of f over a basis of morphisms with the same end points."""
     F = f.source.field
-    offsets, total = _unknown_offsets(f.source, f.target)
 
     def flatten(g):
-        vec = [F.zero()] * total
-        for v in g.blocks:
-            vec[offsets[v]: offsets[v] + len(g.blocks[v].entries)] = list(g.blocks[v].entries)
-        return vec
+        return [x for b in g.blocks.values() for x in b.entries]
 
+    target = flatten(f)
     cols = Matrix.from_rows(F, [flatten(g) for g in basis]).transpose() if basis \
-        else Matrix(F, total, 0, ())
-    out = solve(cols, tuple(flatten(f)))
+        else Matrix(F, len(target), 0, ())
+    out = solve(cols, tuple(target))
     if out is None:
         raise DimensionMismatch("morphism not in the span of the basis")
     return out
@@ -229,52 +202,32 @@ def morphism_coordinates(f: RepMorphism, basis):
 def direct_sum(reps) -> Representation:
     reps = list(reps)
     alg = reps[0].algebra
-    F = alg.field
     for r in reps:
         if r.algebra != alg:
             raise AlgebraMismatch("direct sum across algebras")
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
-    maps = {}
-    for arrow in alg.quiver.arrows:
-        t, s = dims[arrow.target], dims[arrow.source]
-        ents = [[F.zero()] * s for _ in range(t)]
-        ro = co = 0
-        for r in reps:
-            b = r.maps[arrow.name]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    ents[ro + i][co + j] = b.at(i, j)
-            ro += r.dims[arrow.target]
-            co += r.dims[arrow.source]
-        maps[arrow.name] = Matrix.from_rows(F, ents) if t else Matrix(F, 0, s, ())
+    maps = {a.name: block_matrix(alg.field, {(k, k): r.maps[a.name] for k, r in enumerate(reps)},
+                                 [r.dims[a.target] for r in reps],
+                                 [r.dims[a.source] for r in reps])
+            for a in alg.quiver.arrows}
     return Representation(alg, dims, maps, check=False)
 
 
 def summand_inclusion(reps, k) -> RepMorphism:
     total = direct_sum(reps)
     F = total.field
-    blocks = {}
-    for v in total.algebra.quiver.vertices:
-        off = sum(r.dims[v] for r in reps[:k])
-        ents = [[F.zero()] * reps[k].dims[v] for _ in range(total.dims[v])]
-        for j in range(reps[k].dims[v]):
-            ents[off + j][j] = F.one()
-        blocks[v] = Matrix.from_rows(F, ents) if total.dims[v] else \
-            Matrix(F, 0, reps[k].dims[v], ())
+    blocks = {v: block_matrix(F, {(k, 0): Matrix.identity(F, reps[k].dims[v])},
+                              [r.dims[v] for r in reps], [reps[k].dims[v]])
+              for v in total.algebra.quiver.vertices}
     return RepMorphism(reps[k], total, blocks, check=False)
 
 
 def summand_projection(reps, k) -> RepMorphism:
     total = direct_sum(reps)
     F = total.field
-    blocks = {}
-    for v in total.algebra.quiver.vertices:
-        off = sum(r.dims[v] for r in reps[:k])
-        ents = [[F.zero()] * total.dims[v] for _ in range(reps[k].dims[v])]
-        for j in range(reps[k].dims[v]):
-            ents[j][off + j] = F.one()
-        blocks[v] = Matrix.from_rows(F, ents) if reps[k].dims[v] else \
-            Matrix(F, 0, total.dims[v], ())
+    blocks = {v: block_matrix(F, {(0, k): Matrix.identity(F, reps[k].dims[v])},
+                              [reps[k].dims[v]], [r.dims[v] for r in reps])
+              for v in total.algebra.quiver.vertices}
     return RepMorphism(total, reps[k], blocks, check=False)
 
 
@@ -337,21 +290,8 @@ def endo_radical(M: Representation, basis=None) -> Subspace:
         raise CharacteristicTooSmall(
             "characteristic %d too small for dim End = %d on a %d-dimensional module"
             % (F.char, d, M.total_dim()))
-    gram = Matrix.from_rows(F, [[basis[i].compose(basis[j]).trace() for j in range(d)]
-                                for i in range(d)]) if d else Matrix(F, 0, 0, ())
-    current = Subspace.full(F, d)
-    while True:
-        rows = current.basis_rows()
-        if not rows:
-            return current
-        b = Matrix.from_rows(F, rows)
-        form = b.mul(gram).mul(b.transpose())
-        ker = kernel(form)
-        nxt_vecs = [b.transpose().apply(vec) for vec in ker.basis_rows()]
-        nxt = Subspace.from_vectors(F, d, nxt_vecs)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
+    return trace_form_radical(Matrix.from_rows(F, [[f.compose(g).trace() for g in basis]
+                                                    for f in basis]))
 
 
 def is_indecomposable(M: Representation) -> bool:
@@ -379,11 +319,7 @@ SAMPLE_TRIALS = 64
 
 
 def are_isomorphic(M: Representation, N: Representation, seed=0) -> IsoResult:
-    """Search Hom(M, N) for an invertible morphism.
-
-    Over a small prime field the search is exhaustive (a certain answer);
-    otherwise a seeded random search, so a negative answer is probabilistic.
-    """
+    """Search Hom(M, N) for an invertible morphism (see `find_invertible`)."""
     if M.algebra != N.algebra:
         raise AlgebraMismatch("isomorphism across algebras")
     if M.dims != N.dims:
@@ -396,29 +332,40 @@ def are_isomorphic(M: Representation, N: Representation, seed=0) -> IsoResult:
         return IsoResult(True, RepMorphism.identity(M), True)
     if not basis:
         return IsoResult(False, None, True)
-    F = M.field
+    witness, certain = find_invertible(basis, RepMorphism.is_invertible, seed)
+    return IsoResult(witness is not None, witness, certain)
+
+
+def linear_combination(basis, coeffs):
+    """sum_k coeffs[k] * basis[k] for a nonempty list of matrices or morphisms."""
+    f = basis[0].scale(coeffs[0])
+    for c, g in zip(coeffs[1:], basis[1:]):
+        f = f.add(g.scale(c))
+    return f
+
+
+def find_invertible(basis, invertible, seed=0):
+    """(witness, certain): a combination of the nonempty `basis` that passes
+    `invertible`, or None.
+
+    Over a small prime field every nonzero combination is tried in order, so
+    None is certain; otherwise SAMPLE_TRIALS seeded random combinations are,
+    and None is not certain.  A witness is always certain.
+    """
+    F = basis[0].field
     d = len(basis)
-
-    def combo(coeffs):
-        f = basis[0].scale(coeffs[0])
-        for c, g in zip(coeffs[1:], basis[1:]):
-            f = f.add(g.scale(c))
-        return f
-
     if F.char != 0 and d <= ENUM_DIM_CAP and F.char ** d <= ENUM_TOTAL_CAP:
-        from itertools import product
         for coeffs in product(range(F.char), repeat=d):
-            if all(c == 0 for c in coeffs):
-                continue
-            f = combo([F.from_int(c) for c in coeffs])
-            if f.is_invertible():
-                return IsoResult(True, f, True)
-        return IsoResult(False, None, True)
+            if any(coeffs):
+                f = linear_combination(basis, [F.from_int(c) for c in coeffs])
+                if invertible(f):
+                    return f, True
+        return None, True
     rng = random.Random(seed)
     hi = F.char if F.char else 7
     for _ in range(SAMPLE_TRIALS):
         coeffs = [F.from_int(rng.randrange(hi) - (0 if F.char else 3)) for _ in range(d)]
-        f = combo(coeffs)
-        if f.is_invertible():
-            return IsoResult(True, f, True)
-    return IsoResult(False, None, False)
+        f = linear_combination(basis, coeffs)
+        if invertible(f):
+            return f, True
+    return None, False

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraMismatch, NotAdmissible, NotMono
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, image, kernel, preimage,
+    Matrix, QuotientSpace, Subspace, block_matrix, image, kernel, preimage,
 )
 from .ppeval import eval_formula, projective_rep
 from .quiver import RingElement, reverse_path
@@ -107,24 +107,10 @@ def tensor_value(pres: TensorPresentation, M: Representation) -> TensorValue:
     if M.algebra != pres.algebra:
         raise AlgebraMismatch("module over the wrong algebra")
     F = M.field
-    row_dims = [M.dims[v] for v in pres.cover_vertices]
-    col_dims = [M.dims[v] for v in pres.relation_vertices]
-    total_rows, total_cols = sum(row_dims), sum(col_dims)
-    ents = [[F.zero()] * total_cols for _ in range(total_rows)]
-    ro = 0
-    for b, ib in enumerate(pres.cover_vertices):
-        co = 0
-        for a, ja in enumerate(pres.relation_vertices):
-            r = pres.elements.get((b, a))
-            if r is not None:
-                m = act(M, r)
-                for i in range(m.rows):
-                    for j in range(m.cols):
-                        ents[ro + i][co + j] = m.at(i, j)
-            co += col_dims[a]
-        ro += row_dims[b]
-    big = Matrix.from_rows(F, ents) if total_rows else Matrix(F, 0, total_cols, ())
-    quo = QuotientSpace(Subspace.full(F, total_rows), image(big))
+    big = block_matrix(F, {ba: act(M, r) for ba, r in pres.elements.items()},
+                       [M.dims[v] for v in pres.cover_vertices],
+                       [M.dims[v] for v in pres.relation_vertices])
+    quo = QuotientSpace(Subspace.full(F, big.rows), image(big))
     return TensorValue(quo.dim, quo)
 
 
@@ -182,25 +168,13 @@ def purity_pp(f: RepMorphism, formulas, complete=False) -> PurityResult:
     if not f.is_injective():
         raise NotMono("purity is about monomorphisms")
     M, N = f.source, f.target
-    F = M.field
     failures = []
     for k, phi in enumerate(formulas):
         sol_m = eval_formula(phi, M).space
         sol_n = eval_formula(phi, N).space
-        blocks = []
-        for v in phi.free_sorts:
-            blocks.append(f.blocks[v])
-        total_rows = sum(b.rows for b in blocks)
-        total_cols = sum(b.cols for b in blocks)
-        ents = [[F.zero()] * total_cols for _ in range(total_rows)]
-        ro = co = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    ents[ro + i][co + j] = b.at(i, j)
-            ro += b.rows
-            co += b.cols
-        big = Matrix.from_rows(F, ents) if total_rows else Matrix(F, 0, total_cols, ())
+        sorts = phi.free_sorts
+        big = block_matrix(M.field, {(i, i): f.blocks[v] for i, v in enumerate(sorts)},
+                           [N.dims[v] for v in sorts], [M.dims[v] for v in sorts])
         if preimage(big, sol_n) != sol_m:
             failures.append(k)
     return PurityResult(not failures, not complete, failures)

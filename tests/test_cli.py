@@ -44,12 +44,6 @@ def test_roundtrip_a1tilde():
     assert len(doc["results"]) == 4
 
 
-def test_roundtrip_with_jobs():
-    code, doc, _ = invoke(["roundtrip", "--builtin", "a1tilde", "--jobs", "2",
-                           "--forward", "I", "--back", "J", "--fixture", "jordan"])
-    assert code == 0 and doc["all_isomorphic"] is True
-
-
 def test_exit_code_2_on_missing_item():
     code, doc, _ = invoke(["eval", "--builtin", "a2",
                            "--formula", "nope", "--module", "S1"])
@@ -284,3 +278,20 @@ def test_exit_code_2_on_functor_index_out_of_range():
                            "--functor", "row:9", "--argument", "P1"])
     assert code == 2
     assert doc["error_kind"] == "UnresolvedReference"
+
+
+def test_module_form_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppcat.cli", "eval", "--builtin", "a2",
+         "--formula", "ann_a", "--module", "S1"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "eval" and doc["dim"] == "1"

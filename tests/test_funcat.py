@@ -2,7 +2,7 @@ import pytest
 
 from ppcat.errors import NotSplitEndo
 from ppcat.funcat import (
-    SerreData, auslander_algebra, basic_algebra_isomorphism,
+    FiniteAlgebra, SerreData, auslander_algebra, basic_algebra_isomorphism,
     composition_support, fin_are_isomorphic, fin_hom, fin_is_indecomposable,
     functor_eval, minimal_cotorsion, pp_functor_crosscheck, projective_row,
     qhom_compose, qhom_identity, quiver_algebra_to_finite, quotient_hom,
@@ -305,3 +305,30 @@ def test_quotient_composition_associative_and_unital(a2_data):
                                 lhs = qhom_compose(fbd, hg, fab, f, rad)
                                 rhs = qhom_compose(fcd, h, fac, gf, rad)
                                 assert lhs == rhs
+
+
+def _two_dim_algebra(square_of_second):
+    """The algebra with basis (1, x), 1 the only idempotent, and x * x given
+    in coordinates over (1, x)."""
+    one, x = (QQ.one(), QQ.zero()), (QQ.zero(), QQ.one())
+    table = [[one, x], [x, tuple(QQ.from_int(c) for c in square_of_second)]]
+    return FiniteAlgebra(QQ, ("1", "x"), table, [one])
+
+
+def test_corner_check_rejects_split_semisimple_corner():
+    # K x K with x = (1, 0): x * x = x, so the corner of the unit is not local
+    with pytest.raises(NotSplitEndo):
+        _two_dim_algebra((0, 1))
+
+
+def test_corner_check_rejects_nonsplit_field_corner():
+    # Q(i) with x = i: x * x = -1, a local corner whose residue field is not Q
+    with pytest.raises(NotSplitEndo):
+        _two_dim_algebra((-1, 0))
+
+
+def test_corner_check_accepts_dual_numbers():
+    # K[e]/e^2 with x = e: local, residue field Q, radical spanned by e
+    S = _two_dim_algebra((0, 0))
+    assert S.dim == 2
+    assert S.radical().basis_rows() == [(QQ.zero(), QQ.one())]

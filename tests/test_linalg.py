@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ppcat.errors import NotASubspace
+from ppcat.errors import DimensionMismatch, NotASubspace
 from ppcat.linalg import (
     Matrix, Subspace, QuotientSpace, contains, image, intersect, kernel, preimage,
     project, quotient_dim, rank, rref, solve, subspace_sum,
@@ -142,3 +142,37 @@ def test_quotient_space_coordinates():
 
 def test_rank_small():
     assert rank(mat(QQ, [[2, 4], [1, 2]])) == 1
+
+
+def test_block_matrix_places_blocks_and_fills_zeros():
+    from ppcat.linalg import block_matrix
+    a, b = mat(QQ, [[1, 2]]), mat(QQ, [[3], [4]])
+    m = block_matrix(QQ, {(0, 0): a, (1, 1): b}, [1, 2], [2, 1])
+    assert m == mat(QQ, [[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert block_matrix(QQ, {}, [0], [3]) == Matrix(QQ, 0, 3, ())
+    with pytest.raises(DimensionMismatch):
+        block_matrix(QQ, {(0, 0): b}, [1, 2], [2, 1])
+
+
+def test_commuting_solutions_is_the_commutant():
+    from ppcat.linalg import commuting_solutions
+    # X J = J X for a nilpotent Jordan block J of size 3: the polynomials in J
+    J = mat(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    sols = commuting_solutions(QQ, [(3, 3)], [(0, 0, J, J)])
+    assert len(sols) == 3
+    for (X,) in sols:
+        assert X.mul(J) == J.mul(X)
+    # two blocks, X_1 P = Q X_0 with P = Q = 1x1 identity: X_1 = X_0
+    one = Matrix.identity(F2, 1)
+    sols = commuting_solutions(F2, [(1, 1), (1, 1)], [(0, 1, one, one)])
+    assert sols == [(one, one)]
+    # no squares: every tuple of blocks
+    assert len(commuting_solutions(QQ, [(2, 1)], [])) == 2
+
+
+def test_trace_form_radical_of_dual_numbers():
+    from ppcat.linalg import trace_form_radical
+    # regular action of K[e]/e^2 on the basis (1, e): trace(1) = 2, the rest 0
+    rad = trace_form_radical(mat(QQ, [[2, 0], [0, 0]]))
+    assert rad.basis_rows() == [(Fraction(0), Fraction(1))]
+    assert trace_form_radical(Matrix(QQ, 0, 0, ())).dim == 0

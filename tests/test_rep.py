@@ -199,3 +199,20 @@ def test_summand_inclusion_projection():
     reps = [a2_p1(alg), a2_s1(alg)]
     inc = summand_inclusion(reps, 1)
     assert inc.is_injective()
+
+
+def test_find_invertible_exhaustive_and_sampled():
+    from ppcat.rep import find_invertible, linear_combination
+    F3 = PrimeField(3)
+    nil = Matrix.from_rows(F3, [[0, 1], [0, 0]])
+    ident = Matrix.identity(F3, 2)
+    assert linear_combination([ident, nil], [2, 1]) == Matrix.from_rows(F3, [[2, 1], [0, 2]])
+
+    def invertible(m):
+        return kernel(m).dim == 0
+    # over F_3 the nonzero coefficient vectors are tried in order: (0, 1) and
+    # (0, 2) give singular multiples of nil, (1, 0) gives the identity
+    assert find_invertible([ident, nil], invertible) == (ident, True)
+    assert find_invertible([nil], invertible) == (None, True)
+    nil_q = Matrix.from_rows(QQ, [[0, 1], [0, 0]])
+    assert find_invertible([nil_q], invertible) == (None, False)
