@@ -179,10 +179,10 @@ class Parser:
             return int(self.next().text)
         self.fail("an integer")
 
-    def vertex_checked(self, alg):
+    def vertex_checked(self, vertices):
         t = self.peek()
         v = self.vertex_name()
-        if v not in alg.quiver.vertices:
+        if v not in vertices:
             raise ParseError(t.line, t.col, "a vertex of the quiver", v)
         return v
 
@@ -243,21 +243,32 @@ class Parser:
     # -- declarations --
 
     def quiver_decl(self):
+        """A quiver; a repeated vertex or arrow name, or an arrow endpoint that
+        is not a declared vertex, is a ParseError at that name."""
         self.expect("quiver")
         name = self.name()
         self.expect("{")
         self.expect("vertices")
-        verts = [self.vertex_name()]
-        while self.peek().kind in ("name", "int") and self.peek().text != "arrow":
-            verts.append(self.vertex_name())
+        verts = []
+        while True:
+            t = self.peek()
+            v = self.vertex_name()
+            if v in verts:
+                raise ParseError(t.line, t.col, "a new vertex name (duplicate vertex)", v)
+            verts.append(v)
+            if self.peek().kind not in ("name", "int") or self.peek().text == "arrow":
+                break
         self.expect(";")
         arrows = []
         while self.accept("arrow"):
+            t = self.peek()
             anm = self.name("an arrow name")
+            if any(a.name == anm for a in arrows):
+                raise ParseError(t.line, t.col, "a new arrow name (duplicate arrow)", anm)
             self.expect(":")
-            s = self.vertex_name()
+            s = self.vertex_checked(verts)
             self.expect("->")
-            tgt = self.vertex_name()
+            tgt = self.vertex_checked(verts)
             self.expect(";")
             arrows.append(Arrow(anm, s, tgt))
         self.expect("}")
@@ -440,7 +451,7 @@ class Parser:
         while True:
             vn = self.name("a variable name")
             self.expect(":")
-            sort = self.vertex_checked(alg)
+            sort = self.vertex_checked(alg.quiver.vertices)
             out.append(Var(vn, sort))
             if not self.accept(","):
                 break
@@ -448,7 +459,7 @@ class Parser:
 
     def equation(self, alg, declared):
         F = self.ws.field
-        target = self.vertex_checked(alg)
+        target = self.vertex_checked(alg.quiver.vertices)
         self.expect(":")
         coeffs = {}
         neg = self.accept("-")
@@ -572,7 +583,7 @@ class Parser:
         sorts = {}
         sort_refs = {}
         while self.accept("sort"):
-            v = self.vertex_checked(target)
+            v = self.vertex_checked(target.quiver.vertices)
             self.expect("=")
             pname = self.name()
             sorts[v] = self.ws.get("pair", pname)

@@ -11,21 +11,21 @@ as Hom(X_min, Y / t(Y)).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
 from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotSplitEndo, PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, commuting_equations, commuting_solutions, kernel, rank,
-    row_apply, solve, trace_form_radical, vstack,
+    Matrix, QuotientSpace, Solver, Subspace, commuting_equations, commuting_solutions, kernel,
+    rank, row_apply, solve, trace_form_radical, trace_gram, vstack,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
 from .rep import (
-    direct_sum, endo_radical, find_invertible, hom_space, linear_combination,
-    morphism_coordinates, summand_inclusion, summand_projection,
+    coordinate_map, direct_sum, endo_radical, find_invertible, hom_space, linear_combination,
+    summand_inclusion, summand_projection,
 )
 
 
@@ -45,6 +45,15 @@ class FiniteAlgebra:
         n = len(self.labels)
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise DimensionMismatch("multiplication table shape mismatch")
+        # structure constants: the nonzero (k, c) of every cell, as field values
+        add, zero = field.add, field.zero()
+        self._constants = tuple(
+            tuple(tuple((k, add(zero, c)) for k, c in enumerate(cell) if not field.is_zero(c))
+                  for cell in row)
+            for row in self.table)
+        one = field.one()
+        self._basis = tuple(tuple(one if i == k else zero for i in range(n)) for k in range(n))
+        self._radical = None  # memo of radical()
         if validate:
             self._validate()
 
@@ -56,8 +65,7 @@ class FiniteAlgebra:
         return (self.field.zero(),) * self.dim
 
     def basis_vector(self, k):
-        z = self.field.zero()
-        return tuple(self.field.one() if i == k else z for i in range(self.dim))
+        return self._basis[k]
 
     def unit_vector(self):
         F = self.field
@@ -68,40 +76,42 @@ class FiniteAlgebra:
 
     def mul(self, a, b):
         F = self.field
-        out = [F.zero()] * self.dim
-        for i, ca in enumerate(a):
-            if F.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                if F.is_zero(cb):
-                    continue
-                c = F.mul(ca, cb)
-                for k, ck in enumerate(self.table[i][j]):
-                    if not F.is_zero(ck):
-                        out[k] = F.add(out[k], F.mul(c, ck))
-        return tuple(out)
-
-    def right_mult_matrix(self, vec):
-        """Action of vec on the regular right module (rows are b_i . vec)."""
-        return Matrix.from_rows(self.field, [self.mul(self.basis_vector(i), vec)
-                                             for i in range(self.dim)])
+        p = F.char
+        out = [0 if p else F.zero()] * self.dim
+        nonzero_b = [(j, cb) for j, cb in enumerate(b) if cb]
+        for ca, row in zip(a, self._constants):
+            if ca:
+                for j, cb in nonzero_b:
+                    c = ca * cb
+                    for k, ck in row[j]:
+                        out[k] += c * ck
+        return tuple(x % p for x in out) if p else tuple(out)
 
     def regular_module(self):
-        return FinModule(self, self.dim,
-                         [self.right_mult_matrix(self.basis_vector(k))
-                          for k in range(self.dim)], check=False)
+        """The right regular module; the action matrix of b_k has row i equal
+        to b_i b_k, read off the structure constants."""
+        d, zero = self.dim, self.field.zero()
+        action = []
+        for k in range(d):
+            ents = [zero] * (d * d)
+            for i, row in enumerate(self._constants):
+                for m, c in row[k]:
+                    ents[i * d + m] = c
+            action.append(Matrix(self.field, d, d, tuple(ents)))
+        return FinModule(self, d, action, check=False)
 
     def radical(self) -> Subspace:
         """Radical as a subspace of the coordinate space, via the trace form
-        of the regular representation (char 0 or char > dim)."""
+        of the regular representation (char 0 or char > dim); computed once."""
         F = self.field
         d = self.dim
         if F.char != 0 and F.char <= d:
             raise CharacteristicTooSmall(
                 "characteristic %d too small for dim %d" % (F.char, d))
-        mats = [self.right_mult_matrix(self.basis_vector(k)) for k in range(d)]
-        return trace_form_radical(Matrix.from_rows(F, [[a.mul(b).trace() for b in mats]
-                                                        for a in mats]))
+        if self._radical is None:
+            mats = self.regular_module().action
+            self._radical = trace_form_radical(trace_gram(F, [(m,) for m in mats]))
+        return self._radical
 
     def corner(self, k, l):
         """Basis vectors of e_k A e_l."""
@@ -111,17 +121,8 @@ class FiniteAlgebra:
         return Subspace.from_vectors(F, self.dim, vecs)
 
     def _validate(self):
-        F = self.field
         n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul(self.mul(self.basis_vector(i), self.basis_vector(j)),
-                                   self.basis_vector(k))
-                    rhs = self.mul(self.basis_vector(i),
-                                   self.mul(self.basis_vector(j), self.basis_vector(k)))
-                    if lhs != rhs:
-                        raise PpcatError("multiplication table is not associative")
+        self._check_associative()
         one = self.unit_vector()
         for i in range(n):
             b = self.basis_vector(i)
@@ -140,6 +141,32 @@ class FiniteAlgebra:
             if self._corner_residue_dim(c) != 1:
                 raise NotSplitEndo("idempotent %d is not primitive with split corner" % k)
 
+    def _check_associative(self):
+        """(b_i b_j) b_k = b_i (b_j b_k) for every triple of basis elements,
+        exactly.  Both sides are sums over structure constants: the left one
+        over those of b_i b_j, the right one over those of b_j b_k.  So when
+        both products are zero both sides are zero; every other triple is
+        computed and compared."""
+        p = self.field.char
+        C = self._constants
+        n = self.dim
+
+        def combine(scaled_cells):
+            acc = {}
+            for c, cell in scaled_cells:
+                for l, x in cell:
+                    acc[l] = acc.get(l, 0) + c * x
+            return {l: v for l, v in ((l, v % p if p else v) for l, v in acc.items()) if v}
+
+        for j in range(n):
+            right = [k for k in range(n) if C[j][k]]
+            for i in range(n):
+                for k in range(n) if C[i][j] else right:
+                    lhs = combine((c, C[m][k]) for m, c in C[i][j])
+                    rhs = combine((c, C[i][m]) for m, c in C[j][k])
+                    if lhs != rhs:
+                        raise PpcatError("multiplication table is not associative")
+
     def _corner_residue_dim(self, c: Subspace):
         F = self.field
         d = c.dim
@@ -147,8 +174,7 @@ class FiniteAlgebra:
             raise CharacteristicTooSmall("corner check needs larger characteristic")
         rows = c.basis_rows()
         mats = [Matrix.from_rows(F, [c.coordinates(self.mul(b, r)) for b in rows]) for r in rows]
-        gram = Matrix.from_rows(F, [[a.mul(b).trace() for b in mats] for a in mats])
-        return d - trace_form_radical(gram).dim
+        return d - trace_form_radical(trace_gram(F, [(m,) for m in mats])).dim
 
 
 class FinModule:
@@ -267,8 +293,7 @@ def fin_is_indecomposable(X: FinModule) -> bool:
     d = len(basis)
     if F.char != 0 and F.char <= max(d, X.dim):
         raise CharacteristicTooSmall("characteristic too small for dim End = %d" % d)
-    gram = Matrix.from_rows(F, [[f.mul(g).trace() for g in basis] for f in basis])
-    return d - trace_form_radical(gram).dim == 1
+    return d - trace_form_radical(trace_gram(F, [(f,) for f in basis])).dim == 1
 
 
 def fin_are_isomorphic(X: FinModule, Y: FinModule, seed=0):
@@ -299,6 +324,25 @@ class AuslanderData:
     sum_rep: object
     basis_morphisms: list  # endomorphisms of sum_rep aligned with algebra basis
     summand_of_idempotent: list  # idempotent index -> summand index
+    # memo of hom_action: argument module -> (basis of Hom(T, X), action matrices)
+    _hom_actions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def hom_action(self, X):
+        """A basis H of Hom(T, X), T = sum_rep, and for each basis morphism s
+        of T the matrix of h -> h o s on H (column j holds the coordinates of
+        H[j] o s); computed once per X."""
+        memo = self._hom_actions.get(X)
+        if memo is None:
+            F = X.field
+            H = hom_space(self.sum_rep, X)
+            mats = []
+            if H:
+                coordinates = coordinate_map(H, self.sum_rep, X)
+                for s in self.basis_morphisms:
+                    cols = [coordinates(h.compose(s)) for h in H]
+                    mats.append(Matrix.from_rows(F, cols).transpose())
+            memo = self._hom_actions[X] = (H, mats)
+        return memo
 
 
 def auslander_algebra(indecomposables) -> AuslanderData:
@@ -314,10 +358,11 @@ def auslander_algebra(indecomposables) -> AuslanderData:
             raise NotSplitEndo("input without split local endomorphism ring")
         ends.append((basis, rad))
     T = direct_sum(summands)
-    incls = [summand_inclusion(summands, k) for k in range(len(summands))]
-    projs = [summand_projection(summands, k) for k in range(len(summands))]
+    incls = [summand_inclusion(summands, k, T) for k in range(len(summands))]
+    projs = [summand_projection(summands, k, T) for k in range(len(summands))]
     labels = []
     morphisms = []
+    pairs = []  # (source summand, target summand) of each morphism
     idempotent_positions = []
     F = T.field
     for i in range(len(summands)):
@@ -326,22 +371,24 @@ def auslander_algebra(indecomposables) -> AuslanderData:
                 idempotent_positions.append(len(labels))
                 labels.append("e%d" % i)
                 morphisms.append(incls[i].compose(projs[i]))
+                pairs.append((i, i))
                 basis, rad = ends[i]
                 for r, vec in enumerate(rad.basis_rows()):
                     f = linear_combination(basis, vec)
                     labels.append("r%d_%d" % (i, r))
                     morphisms.append(incls[i].compose(f).compose(projs[i]))
+                    pairs.append((i, i))
             else:
                 for k, g in enumerate(hom_space(summands[i], summands[j])):
                     labels.append("f%d_%d_%d" % (i, j, k))
                     morphisms.append(incls[j].compose(g).compose(projs[i]))
-    table = []
-    for a in morphisms:
-        row = []
-        for b in morphisms:
-            prod = b.compose(a)  # mul(a, b) = "a then b"
-            row.append(morphism_coordinates(prod, morphisms))
-        table.append(row)
+                    pairs.append((i, j))
+    # mul(a, b) = "a then b" = b o a, which is zero unless b starts where a ends
+    coordinates = coordinate_map(morphisms, T, T)
+    zero = (F.zero(),) * len(morphisms)
+    table = [[coordinates(b.compose(a)) if b_pair[0] == a_pair[1] else zero
+              for b, b_pair in zip(morphisms, pairs)]
+             for a, a_pair in zip(morphisms, pairs)]
     idempotents = []
     for pos in idempotent_positions:
         z = [F.zero()] * len(labels)
@@ -395,7 +442,7 @@ def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
     if X.algebra != data.sum_rep.algebra:
         raise AlgebraMismatch("argument over the wrong quiver algebra")
     F = V.field
-    H = hom_space(data.sum_rep, X)
+    H, actions = data.hom_action(X)
     nH = len(H)
     nV = V.dim
     ambient = nV * nH
@@ -403,10 +450,7 @@ def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
         return FunctorValue(0, 0, Subspace.zero(F, 0))
     # the relations v s (x) h - v (x) s h, written as the commuting squares
     # of one nV x nH block
-    squares = []
-    for Av, shat in zip(V.action, data.basis_morphisms):
-        cols = [morphism_coordinates(h.compose(shat), H) for h in H]
-        squares.append((0, 0, Matrix.from_rows(F, cols).transpose(), Av))
+    squares = [(0, 0, act_h, Av) for Av, act_h in zip(V.action, actions)]
     rel = Subspace.from_vectors(F, ambient, commuting_equations(F, [(nV, nH)], squares))
     return FunctorValue(ambient - rel.dim, ambient, rel)
 
@@ -525,10 +569,10 @@ def qhom_compose(g_data: QHom, g: Matrix, f_data: QHom, f: Matrix,
     wmat = Matrix.from_rows(F, w_rows).transpose() if w_rows \
         else Matrix(F, qY.dim, 0, ())
     # g kills Y_min n t(Y): solutions of the lift are unique enough
+    lift = Solver(wmat) if f.rows else None
     out_rows = []
     for i in range(f.rows):
-        val = f.row(i)
-        coeffs = solve(wmat, tuple(val))
+        coeffs = lift.solve(f.row(i))
         if coeffs is None:
             raise PpcatError("composite does not factor; quotient recipe violated")
         out_rows.append(row_apply(coeffs, g))

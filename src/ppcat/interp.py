@@ -14,7 +14,7 @@ from .errors import (
     AlgebraMismatch, InducedMapUndefined, NotValidated, SortMismatch,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, contains, intersect, project, solve, subspace_sum,
+    Matrix, QuotientSpace, Solver, Subspace, contains, intersect, project, subspace_sum,
 )
 from .ppform import (
     PpFormula, PpMap, PpPair, combine_map_formulas, compose_map_formulas, conj,
@@ -197,9 +197,10 @@ def apply(F: InterpretationFunctor, M: Representation) -> Representation:
             cmat = Matrix(field, total, 0, ())
         xmat = Matrix(field, nx, cmat.cols,
                       tuple(cmat.at(i, j) for i in range(nx) for j in range(cmat.cols)))
-        for i in range(quots[v].dim):
-            u = quots[v].lift(i)
-            coeffs = solve(xmat, tuple(u))
+        lifts = [quots[v].lift(i) for i in range(quots[v].dim)]
+        preimage = Solver(xmat) if lifts else None
+        for u in lifts:
+            coeffs = preimage.solve(u)
             if coeffs is None:
                 raise InducedMapUndefined("no image for a basis coset at %s" % arrow.name)
             fullvec = cmat.apply(coeffs)

@@ -4,9 +4,10 @@ Matrices are immutable, row-major, over one of the fields from `scalars`.
 A Subspace stores the unique reduced row-echelon basis of its row space, so
 two subspaces are equal iff their stored bases are identical.
 
-All elimination (rref, rank, kernel, solve, intersect, Subspace.from_vectors)
-goes through `rref_with_pivots`, which runs one row kernel per field, chosen
-by the characteristic, with no scalar call through the field object:
+All elimination (rref, rank, kernel, Solver and solve, intersect,
+Subspace.from_vectors) goes through `rref_with_pivots`, which runs one row
+kernel per field, chosen by the characteristic, with no scalar call through
+the field object:
 
 - over Q, fraction-free Gauss-Jordan on primitive integer rows, in the
   spirit of Bareiss (1968); each output entry becomes a `Fraction` once;
@@ -66,9 +67,6 @@ class Matrix:
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def col(self, j):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
@@ -101,46 +99,44 @@ class Matrix:
         return Matrix(F, self.rows, self.cols, tuple(F.mul(c, a) for a in self.entries))
 
     def mul(self, other):
+        """The product, with one loop per field: over F_p the row sums are plain
+        ints reduced once per entry, over Q the `Fraction` operators are called
+        directly; zero entries of either factor cost nothing."""
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product %dx%d by %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        F = self.field
-        a, b = self.row_lists(), other.row_lists()
+        F, n, m = self.field, self.cols, other.cols
+        ents, oents = self.entries, other.entries
+        b = [[(j, x) for j, x in enumerate(oents[k * m:(k + 1) * m]) if x] for k in range(n)]
+        p = F.char
+        zero = 0 if p else F.zero()
         out = []
         for i in range(self.rows):
-            ai = a[i]
-            row = [F.zero()] * other.cols
-            for k in range(self.cols):
-                c = ai[k]
-                if F.is_zero(c):
-                    continue
-                bk = b[k]
-                for j in range(other.cols):
-                    row[j] = F.add(row[j], F.mul(c, bk[j]))
-            out.extend(row)
-        return Matrix(F, self.rows, other.cols, tuple(out))
+            row = [zero] * m
+            for c, bk in zip(ents[i * n:(i + 1) * n], b):
+                if c:
+                    for j, x in bk:
+                        row[j] += c * x
+            out.extend([x % p for x in row] if p else row)
+        return Matrix(F, self.rows, m, tuple(out))
 
     def apply(self, vec):
-        """Matrix times column vector, given and returned as a flat tuple."""
+        """Matrix times column vector, given and returned as a flat tuple (one
+        loop per field, as in `mul`)."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(vec), self.cols))
-        F = self.field
+        F, n = self.field, self.cols
+        p = F.char
+        zero = 0 if p else F.zero()
+        nonzero = [(j, v) for j, v in enumerate(vec) if v]
         out = []
         for i in range(self.rows):
-            s = F.zero()
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if not F.is_zero(v):
-                    s = F.add(s, F.mul(self.entries[base + j], v))
-            out.append(s)
+            row = self.entries[i * n:(i + 1) * n]
+            s = zero
+            for j, v in nonzero:
+                s += row[j] * v
+            out.append(s % p if p else s)
         return tuple(out)
-
-    def trace(self):
-        F = self.field
-        s = F.zero()
-        for i in range(min(self.rows, self.cols)):
-            s = F.add(s, self.at(i, i))
-        return s
 
     def _check_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -154,18 +150,18 @@ class Matrix:
 
 
 def row_apply(vec, m: Matrix):
-    """Row vector times matrix."""
+    """Row vector times matrix (one loop per field, as in `Matrix.mul`)."""
     if len(vec) != m.rows:
         raise DimensionMismatch("row vector length %d, expected %d" % (len(vec), m.rows))
-    F = m.field
-    out = []
-    for j in range(m.cols):
-        s = F.zero()
-        for i, v in enumerate(vec):
-            if not F.is_zero(v):
-                s = F.add(s, F.mul(v, m.at(i, j)))
-        out.append(s)
-    return tuple(out)
+    F, n, ents = m.field, m.cols, m.entries
+    p = F.char
+    out = [0 if p else F.zero()] * n
+    for i, v in enumerate(vec):
+        if v:
+            for j, x in enumerate(ents[i * n:(i + 1) * n]):
+                if x:
+                    out[j] += v * x
+    return tuple(x % p for x in out) if p else tuple(out)
 
 
 def vstack(mats):
@@ -180,20 +176,6 @@ def vstack(mats):
         ents.extend(m.entries)
         rows += m.rows
     return Matrix(F, rows, cols, tuple(ents))
-
-
-def hstack(mats):
-    mats = list(mats)
-    F = mats[0].field
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise DimensionMismatch("hstack row mismatch")
-    ents = []
-    for i in range(rows):
-        for m in mats:
-            ents.extend(m.row(i))
-    return Matrix(F, rows, sum(m.cols for m in mats), tuple(ents))
 
 
 def _offsets(sizes):
@@ -527,6 +509,38 @@ def commuting_solutions(field, shapes, squares):
             for vec in sol.basis_rows()]
 
 
+def trace_gram(field, elements) -> Matrix:
+    """The Gram matrix gram[a][b] = trace(A B) of the trace form, where each
+    element is a sequence of square blocks and A B is taken block by block
+    (as for the vertex blocks of a morphism), the traces summed.
+
+    trace(A B) is summed as a_ij b_ji over the nonzero a_ij, without
+    forming A B, and only once per unordered pair (the form is symmetric).
+    """
+    p = field.char
+    zero = 0 if p else field.zero()
+    nonzero, transposed = [], []
+    for blocks in elements:
+        flat, flat_t = [], []
+        for m in blocks:
+            flat.extend(m.entries)
+            flat_t.extend(m.transpose().entries)
+        nonzero.append([(i, x) for i, x in enumerate(flat) if x])
+        transposed.append(flat_t)
+    d = len(nonzero)
+    gram = [[zero] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            t = transposed[b]
+            s = zero
+            for i, x in nonzero[a]:
+                y = t[i]
+                if y:
+                    s += x * y
+            gram[a][b] = gram[b][a] = s % p if p else s
+    return Matrix(field, d, d, tuple(chain.from_iterable(gram)))
+
+
 def trace_form_radical(gram: Matrix) -> Subspace:
     """The radical of an algebra in coordinates, from the Gram matrix
     gram[i][j] = trace(b_i b_j) of a faithful action of its basis.
@@ -568,17 +582,69 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     return kernel(condm)
 
 
+class Solver:
+    """Solutions of m x = t for one matrix m and many targets t, with m
+    reduced once.
+
+    The one elimination is the RREF of [m^T | J], where J is the k x k
+    identity with its columns reversed (k = m.cols).  Its first r rows are
+    [B | G]: B is the RREF of m^T, a basis of the column space of m with
+    the identity on its pivot columns P, and G m^T = B, so t = sum_i t[P_i]
+    B_i for every t in the column space and then x = sum_i t[P_i] G_i (read
+    back through J) solves m x = t.  The remaining rows span the kernel of m
+    and, through J, are in RREF for the reversed column order: their pivots
+    are the free columns of m, where the rows of G are therefore zero.  So x
+    is the solution with every free variable zero, the one that the RREF of
+    [m | t] reads off.
+    """
+
+    def __init__(self, m: Matrix):
+        F, n, k = m.field, m.rows, m.cols
+        self.field, self.rows, self.cols = F, n, k
+        self._pivots = []    # P: row i of B has its pivot at target entry P[i]
+        self._b_rows = []    # row i of B, nonzero (column, value) pairs
+        self._g_rows = []    # row i of G in unknown order, nonzero pairs
+        if not (n and k):
+            return
+        zero, one = F.zero(), F.one()
+        aug = [m.col(j) + tuple(one if c == k - 1 - j else zero for c in range(k))
+               for j in range(k)]
+        red, pivots = rref_with_pivots(Matrix(F, k, n + k, tuple(chain.from_iterable(aug))))
+        for i, pc in enumerate(pivots):
+            if pc >= n:
+                break
+            row = red.row(i)
+            self._pivots.append(pc)
+            self._b_rows.append([(j, x) for j, x in enumerate(row[:n]) if x])
+            self._g_rows.append([(k - 1 - c, x) for c, x in enumerate(row[n:]) if x])
+
+    def solve(self, target):
+        """The solution of m x = target with every free variable zero (that of
+        `solve`), or None when there is none."""
+        if len(target) != self.rows:
+            raise DimensionMismatch("target length %d, expected %d" % (len(target), self.rows))
+        F, p = self.field, self.field.char
+        zero = 0 if p else F.zero()
+        rest = list(target)  # target - sum_i target[P_i] B_i
+        x = [zero] * self.cols
+        for pc, b_row, g_row in zip(self._pivots, self._b_rows, self._g_rows):
+            y = target[pc] % p if p else target[pc]
+            if y:
+                for j, v in b_row:
+                    rest[j] -= y * v
+                for j, v in g_row:
+                    x[j] += y * v
+        if p:
+            if any(v % p for v in rest):
+                return None
+            return tuple(v % p for v in x)
+        return None if any(rest) else tuple(x)
+
+
 def solve(m: Matrix, target):
-    """One solution x of m x = target, or None."""
-    F = m.field
-    aug = hstack([m, Matrix(F, m.rows, 1, tuple(target))])
-    red, pivots = rref_with_pivots(aug)
-    if m.cols in pivots:
-        return None
-    x = [F.zero()] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.at(i, m.cols)
-    return tuple(x)
+    """One solution x of m x = target, or None: the one with every free
+    variable zero.  For many targets against one m, use `Solver`."""
+    return Solver(m).solve(target)
 
 
 class QuotientSpace:

@@ -16,8 +16,8 @@ from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, SortMismatch, ZeroModule,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, block_matrix, commuting_solutions, image, kernel, solve,
-    trace_form_radical,
+    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, image, kernel,
+    trace_form_radical, trace_gram,
 )
 from .quiver import QuiverAlgebra, RingElement
 
@@ -135,13 +135,6 @@ class RepMorphism:
                 return False
         return True
 
-    def trace(self):
-        F = self.source.field
-        t = F.zero()
-        for b in self.blocks.values():
-            t = F.add(t, b.trace())
-        return t
-
     def __eq__(self, other):
         return (isinstance(other, RepMorphism) and self.blocks == other.blocks
                 and self.source == other.source and self.target == other.target)
@@ -183,20 +176,30 @@ def hom_space(M: Representation, N: Representation):
             for blocks in commuting_solutions(M.field, shapes, squares)]
 
 
+def _flatten(f: RepMorphism):
+    return [x for b in f.blocks.values() for x in b.entries]
+
+
+def coordinate_map(basis, source: Representation, target: Representation):
+    """The function taking a morphism source -> target to its coordinates over
+    `basis`, a basis of such morphisms, with the basis reduced once."""
+    F = source.field
+    n = sum(target.dims[v] * source.dims[v] for v in source.algebra.quiver.vertices)
+    cols = Matrix.from_rows(F, [_flatten(g) for g in basis]).transpose() if basis \
+        else Matrix(F, n, 0, ())
+    solver = Solver(cols)
+
+    def coordinates(f: RepMorphism):
+        out = solver.solve(_flatten(f))
+        if out is None:
+            raise DimensionMismatch("morphism not in the span of the basis")
+        return out
+    return coordinates
+
+
 def morphism_coordinates(f: RepMorphism, basis):
     """Coordinates of f over a basis of morphisms with the same end points."""
-    F = f.source.field
-
-    def flatten(g):
-        return [x for b in g.blocks.values() for x in b.entries]
-
-    target = flatten(f)
-    cols = Matrix.from_rows(F, [flatten(g) for g in basis]).transpose() if basis \
-        else Matrix(F, len(target), 0, ())
-    out = solve(cols, tuple(target))
-    if out is None:
-        raise DimensionMismatch("morphism not in the span of the basis")
-    return out
+    return coordinate_map(basis, f.source, f.target)(f)
 
 
 def direct_sum(reps) -> Representation:
@@ -213,8 +216,10 @@ def direct_sum(reps) -> Representation:
     return Representation(alg, dims, maps, check=False)
 
 
-def summand_inclusion(reps, k) -> RepMorphism:
-    total = direct_sum(reps)
+def summand_inclusion(reps, k, total=None) -> RepMorphism:
+    """The inclusion of reps[k] into `total`, their direct sum (built when
+    not given)."""
+    total = direct_sum(reps) if total is None else total
     F = total.field
     blocks = {v: block_matrix(F, {(k, 0): Matrix.identity(F, reps[k].dims[v])},
                               [r.dims[v] for r in reps], [reps[k].dims[v]])
@@ -222,8 +227,10 @@ def summand_inclusion(reps, k) -> RepMorphism:
     return RepMorphism(reps[k], total, blocks, check=False)
 
 
-def summand_projection(reps, k) -> RepMorphism:
-    total = direct_sum(reps)
+def summand_projection(reps, k, total=None) -> RepMorphism:
+    """The projection of `total`, the direct sum of reps (built when not
+    given), onto reps[k]."""
+    total = direct_sum(reps) if total is None else total
     F = total.field
     blocks = {v: block_matrix(F, {(0, k): Matrix.identity(F, reps[k].dims[v])},
                               [reps[k].dims[v]], [r.dims[v] for r in reps])
@@ -290,8 +297,7 @@ def endo_radical(M: Representation, basis=None) -> Subspace:
         raise CharacteristicTooSmall(
             "characteristic %d too small for dim End = %d on a %d-dimensional module"
             % (F.char, d, M.total_dim()))
-    return trace_form_radical(Matrix.from_rows(F, [[f.compose(g).trace() for g in basis]
-                                                    for f in basis]))
+    return trace_form_radical(trace_gram(F, [f.blocks.values() for f in basis]))
 
 
 def is_indecomposable(M: Representation) -> bool:

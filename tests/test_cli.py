@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from ppcat.cli import run
 
 
@@ -256,8 +258,22 @@ def test_exit_code_2_on_duplicate_vertex(tmp_path):
     f.write_text("field Q;\nquiver A { vertices 1 1; }\n")
     code, doc, _ = invoke(["eval", "--file", str(f), "--formula", "x", "--module", "y"])
     assert code == 2
-    assert doc["error_kind"] == "PpcatError"
-    assert "duplicate vertex" in doc["error"]
+    assert doc["error_kind"] == "ParseError"
+    assert doc["error"].startswith("2:23: expected a new vertex name (duplicate vertex)")
+
+
+@pytest.mark.parametrize("body, where, expected", [
+    ("vertices 1 2; arrow a: 1 -> 2; arrow a: 2 -> 1;", "2:49", "a new arrow name"),
+    ("vertices 1 2; arrow a: 1 -> 3;", "2:40", "a vertex of the quiver"),
+    ("vertices 1 2; arrow a: 0 -> 2;", "2:35", "a vertex of the quiver"),
+])
+def test_exit_code_2_on_malformed_quiver(tmp_path, body, where, expected):
+    f = tmp_path / "bad.ppc"
+    f.write_text("field Q;\nquiver A { %s }\n" % body)
+    code, doc, _ = invoke(["eval", "--file", str(f), "--formula", "x", "--module", "y"])
+    assert code == 2
+    assert doc["error_kind"] == "ParseError"
+    assert doc["error"].startswith("%s: expected %s" % (where, expected))
 
 
 def test_exit_code_2_on_zero_denominator(tmp_path):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppcat.errors import NotSplitEndo
+from ppcat.errors import NotSplitEndo, PpcatError
 from ppcat.funcat import (
     FiniteAlgebra, SerreData, auslander_algebra, basic_algebra_isomorphism,
     composition_support, fin_are_isomorphic, fin_hom, fin_is_indecomposable,
@@ -12,10 +14,10 @@ from ppcat.ppform import PpPair, top_formula, zero_formula
 from ppcat.ppeval import certify_pair
 from ppcat.quiver import Arrow, Quiver, QuiverAlgebra, RingElement, make_path
 from ppcat.rep import Representation, direct_sum
-from ppcat.scalars import QQ
+from ppcat.scalars import QQ, PrimeField
 
 from fixtures import (
-    a2_algebra, a2_p1, a2_p2, a2_s1, dual_numbers_algebra, jordan_module, rep,
+    a2_algebra, a2_p1, a2_p2, a2_s1, a3_algebra, dual_numbers_algebra, jordan_module, rep,
 )
 from test_ppform import ann_formula, div_formula
 
@@ -332,3 +334,89 @@ def test_corner_check_accepts_dual_numbers():
     S = _two_dim_algebra((0, 0))
     assert S.dim == 2
     assert S.radical().basis_rows() == [(QQ.zero(), QQ.one())]
+
+
+# -- the sparse associativity check against a dense oracle -------------------
+
+
+def _dense_associative(F, table):
+    """(b_i b_j) b_k == b_i (b_j b_k) for all triples, from the full table."""
+    n = len(table)
+
+    def combine(coeffs, rows):
+        out = [F.zero()] * n
+        for c, row in zip(coeffs, rows):
+            out = [F.add(x, F.mul(c, y)) for x, y in zip(out, row)]
+        return out
+
+    return all(combine(table[i][j], [table[m][k] for m in range(n)])
+               == combine(table[j][k], [table[i][m] for m in range(n)])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def _path_algebra_parts(field):
+    A = quiver_algebra_to_finite(a3_algebra(field))
+    return A, [list(map(list, row)) for row in A.table]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(3), PrimeField(32003)]), st.data())
+def test_one_entry_perturbation_is_caught_as_the_dense_check_would(F, data):
+    A, table = _path_algebra_parts(F)
+    n = A.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = F.from_int(data.draw(st.integers(1, 2)))
+    table[i][j][k] = F.add(table[i][j][k], delta)
+    if _dense_associative(F, table):
+        try:
+            FiniteAlgebra(F, A.labels, table, A.idempotents)
+        except PpcatError as exc:
+            assert "not associative" not in str(exc)
+    else:
+        with pytest.raises(PpcatError, match="not associative"):
+            FiniteAlgebra(F, A.labels, table, A.idempotents)
+
+
+def test_perturbed_product_of_arrows_is_not_associative():
+    A, table = _path_algebra_parts(QQ)
+    e1, a, b = A.labels.index("id(1)"), A.labels.index("a"), A.labels.index("b")
+    table[e1][a][b] = QQ.one()  # e1 * a picks up a spurious b
+    assert not _dense_associative(QQ, table)
+    with pytest.raises(PpcatError, match="not associative"):
+        FiniteAlgebra(QQ, A.labels, table, A.idempotents)
+
+
+def test_non_orthogonal_idempotents_are_rejected():
+    A, table = _path_algebra_parts(QQ)
+    e = [A.basis_vector(A.labels.index(name)) for name in ("id(1)", "id(2)", "id(3)")]
+    a = A.basis_vector(A.labels.index("a"))
+    plus = tuple(QQ.add(x, y) for x, y in zip(e[0], a))
+    minus = tuple(QQ.sub(x, y) for x, y in zip(e[2], a))
+    # conjugating by 1 + a gives orthogonal idempotents again: accepted
+    FiniteAlgebra(QQ, A.labels, table, [plus, tuple(QQ.sub(x, y) for x, y in zip(e[1], a)),
+                                        e[2]])
+    # e1 + a, e2, e3 - a sum to 1, but (e1 + a) e2 = a
+    with pytest.raises(PpcatError, match="not orthogonal"):
+        FiniteAlgebra(QQ, A.labels, table, [plus, e[1], minus])
+
+
+# -- the full A4 Auslander algebra over F_32003 ------------------------------
+
+
+def test_full_a4_auslander_algebra_follows_the_interval_rule():
+    F = PrimeField(32003)
+    n = 4
+    verts = tuple(str(v) for v in range(1, n + 1))
+    alg = QuiverAlgebra("A4", Quiver("A4", verts, tuple(
+        Arrow("a%d" % v, str(v), str(v + 1)) for v in range(1, n))), F)
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    mods = [rep(alg, {str(v): int(i <= v <= j) for v in range(1, n + 1)},
+                {"a%d" % v: [[1]] for v in range(i, j)}) for i, j in intervals]
+    data = auslander_algebra(mods)
+    S = data.algebra
+    # Hom([i,j], [k,l]) is one-dimensional when k <= i <= l <= j, else zero
+    homs = [[int(k <= i <= l <= j) for (k, l) in intervals] for (i, j) in intervals]
+    assert S.dim == 35 == sum(map(sum, homs))
+    assert S.radical().dim == 25
+    assert [projective_row(data, k).dim for k in range(len(mods))] == list(map(sum, homs))
+    assert [simple_module(data, k).dim for k in range(len(mods))] == [1] * len(mods)
