@@ -8,6 +8,7 @@ violations (non-admissible algebra, uncertified pair, non-mono, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,11 @@ PRECONDITION_ERRORS = (NotAdmissible, UncertifiedPair, NotMono, CharacteristicTo
                        UnsupportedRelation, SortMismatch, NotASubspace)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing only reads it, and
+    each parse returns a fresh namespace (argparse copies the `append` defaults
+    before appending, and no command changes a list on `args`)."""
     p = argparse.ArgumentParser(prog="ppcat",
                                 description="exact pp-formula computations")
     sub = p.add_subparsers(dest="command", required=True)

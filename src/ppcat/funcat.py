@@ -54,6 +54,10 @@ class FiniteAlgebra:
         one = field.one()
         self._basis = tuple(tuple(one if i == k else zero for i in range(n)) for k in range(n))
         self._radical = None  # memo of radical()
+        # memos of regular_module() and of projective_row (k -> e_k S), kept as
+        # (dim, action) so that they hold no module pointing back at self
+        self._regular = None
+        self._projective_rows = {}
         if validate:
             self._validate()
 
@@ -89,16 +93,19 @@ class FiniteAlgebra:
 
     def regular_module(self):
         """The right regular module; the action matrix of b_k has row i equal
-        to b_i b_k, read off the structure constants."""
-        d, zero = self.dim, self.field.zero()
-        action = []
-        for k in range(d):
-            ents = [zero] * (d * d)
-            for i, row in enumerate(self._constants):
-                for m, c in row[k]:
-                    ents[i * d + m] = c
-            action.append(Matrix(self.field, d, d, tuple(ents)))
-        return FinModule(self, d, action, check=False)
+        to b_i b_k, read off the structure constants (once per algebra)."""
+        d = self.dim
+        if self._regular is None:
+            zero = self.field.zero()
+            action = []
+            for k in range(d):
+                ents = [zero] * (d * d)
+                for i, row in enumerate(self._constants):
+                    for m, c in row[k]:
+                        ents[i * d + m] = c
+                action.append(Matrix(self.field, d, d, tuple(ents)))
+            self._regular = tuple(action)
+        return FinModule(self, d, self._regular, check=False)
 
     def radical(self) -> Subspace:
         """Radical as a subspace of the coordinate space, via the trace form
@@ -400,13 +407,17 @@ def auslander_algebra(indecomposables) -> AuslanderData:
 
 
 def projective_row(data_or_algebra, k) -> FinModule:
-    """The right ideal e_k S as a module."""
+    """The right ideal e_k S as a module, built once per algebra."""
     S = data_or_algebra.algebra if isinstance(data_or_algebra, AuslanderData) \
         else data_or_algebra
-    reg = S.regular_module()
-    ek = S.idempotents[k]
-    vecs = [S.mul(ek, S.basis_vector(j)) for j in range(S.dim)]
-    return reg.restrict(reg.submodule(vecs))
+    memo = S._projective_rows.get(k)
+    if memo is None:
+        reg = S.regular_module()
+        ek = S.idempotents[k]
+        vecs = [S.mul(ek, S.basis_vector(j)) for j in range(S.dim)]
+        row = reg.restrict(reg.submodule(vecs))
+        memo = S._projective_rows[k] = (row.dim, row.action)
+    return FinModule(S, *memo, check=False)
 
 
 def simple_module(data_or_algebra, k) -> FinModule:
@@ -560,6 +571,12 @@ def qhom_identity(X: FinModule, serre: SerreData, alg_radical: Subspace) -> Matr
 def qhom_compose(g_data: QHom, g: Matrix, f_data: QHom, f: Matrix,
                  alg_radical: Subspace) -> Matrix:
     """g o f for f: X -> Y and g: Y -> Z in the quotient category."""
+    return _qhom_lift(g_data, f_data)(g, f)
+
+
+def _qhom_lift(g_data: QHom, f_data: QHom):
+    """The composition (g, f) -> g o f for f in f_data and g in g_data, with
+    the lift of Y/t(Y)-coordinates to Y_min reduced once."""
     F = f_data.X.field
     Y = f_data.Y
     y_min = g_data.x_min
@@ -569,14 +586,17 @@ def qhom_compose(g_data: QHom, g: Matrix, f_data: QHom, f: Matrix,
     wmat = Matrix.from_rows(F, w_rows).transpose() if w_rows \
         else Matrix(F, qY.dim, 0, ())
     # g kills Y_min n t(Y): solutions of the lift are unique enough
-    lift = Solver(wmat) if f.rows else None
-    out_rows = []
-    for i in range(f.rows):
-        coeffs = lift.solve(f.row(i))
-        if coeffs is None:
-            raise PpcatError("composite does not factor; quotient recipe violated")
-        out_rows.append(row_apply(coeffs, g))
-    return Matrix.from_rows(F, out_rows) if out_rows else Matrix(F, 0, g.cols, ())
+    lift = Solver(wmat)
+
+    def compose(g: Matrix, f: Matrix) -> Matrix:
+        out_rows = []
+        for i in range(f.rows):
+            coeffs = lift.solve(f.row(i))
+            if coeffs is None:
+                raise PpcatError("composite does not factor; quotient recipe violated")
+            out_rows.append(row_apply(coeffs, g))
+        return Matrix.from_rows(F, out_rows) if out_rows else Matrix(F, 0, g.cols, ())
+    return compose
 
 
 @dataclass
@@ -611,6 +631,8 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
             return False
         id_i = qhom_identity(Xi, serre, alg_radical)
         id_j = qhom_identity(Xj, serre, alg_radical)
+        after_fwd = _qhom_lift(bwd, fwd)  # (g, f) -> g o f, Xi -> Xj -> Xi
+        after_bwd = _qhom_lift(fwd, bwd)  # (f, g) -> f o g, Xj -> Xi -> Xj
         rng = random.Random(seed)
         F_ = Xi.field
         candidates = list(bwd.basis)
@@ -626,12 +648,10 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
                       for _ in range(len(bwd.basis))]
             candidates.append(linear_combination(bwd.basis, coeffs))
         for g in candidates:
-            f = _solve_left_inverse(fwd, bwd, g, id_i, alg_radical)
+            f = _solve_left_inverse(fwd.basis, g, id_i, after_fwd)
             if f is None:
                 continue
-            gf = qhom_compose(bwd, g, fwd, f, alg_radical)
-            fg = qhom_compose(fwd, f, bwd, g, alg_radical)
-            if gf == id_i and fg == id_j:
+            if after_fwd(g, f) == id_i and after_bwd(f, g) == id_j:
                 return True
         if trials:
             certain = False
@@ -650,19 +670,14 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
     return SkeletonReport(classes, discarded, certain)
 
 
-def _solve_left_inverse(fwd: QHom, bwd: QHom, g: Matrix, id_i: Matrix, alg_radical):
-    """Find f in fwd's span with g o f = id, by linear solve."""
-    F = g.field
-    if not fwd.basis:
+def _solve_left_inverse(basis, g: Matrix, id_i: Matrix, compose):
+    """Find f in the span of `basis` with compose(g, f) = g o f = id, by
+    linear solve."""
+    if not basis:
         return None
-    cols = []
-    for b in fwd.basis:
-        comp = qhom_compose(bwd, g, fwd, b, alg_radical)
-        cols.append([x for x in comp.entries])
-    target = list(id_i.entries)
-    mat = Matrix.from_rows(F, cols).transpose() if cols else None
-    sol = solve(mat, tuple(target))
-    return None if sol is None else linear_combination(fwd.basis, sol)
+    mat = Matrix.from_rows(g.field, [compose(g, b).entries for b in basis]).transpose()
+    sol = solve(mat, id_i.entries)
+    return None if sol is None else linear_combination(basis, sol)
 
 
 # -- presenting a quiver algebra as a FiniteAlgebra ------------------------

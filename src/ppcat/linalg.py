@@ -78,25 +78,32 @@ class Matrix:
         F = self.field
         return all(F.is_zero(x) for x in self.entries)
 
+    # add, sub, neg and scale run one loop per field, with the operators the
+    # field's own methods use: plain ints reduced once per entry over F_p, the
+    # values' own operators over Q (so entries keep their values and types)
+
     def add(self, other):
         self._check_shape(other)
-        F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      tuple(F.add(a, b) for a, b in zip(self.entries, other.entries)))
+        p, pairs = self.field.char, zip(self.entries, other.entries)
+        ents = tuple((a + b) % p for a, b in pairs) if p else tuple(a + b for a, b in pairs)
+        return Matrix(self.field, self.rows, self.cols, ents)
 
     def sub(self, other):
         self._check_shape(other)
-        F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      tuple(F.sub(a, b) for a, b in zip(self.entries, other.entries)))
+        p, pairs = self.field.char, zip(self.entries, other.entries)
+        ents = tuple((a - b) % p for a, b in pairs) if p else tuple(a - b for a, b in pairs)
+        return Matrix(self.field, self.rows, self.cols, ents)
 
     def neg(self):
-        F = self.field
-        return Matrix(F, self.rows, self.cols, tuple(F.neg(a) for a in self.entries))
+        p = self.field.char
+        ents = tuple(-a % p for a in self.entries) if p else tuple(-a for a in self.entries)
+        return Matrix(self.field, self.rows, self.cols, ents)
 
     def scale(self, c):
-        F = self.field
-        return Matrix(F, self.rows, self.cols, tuple(F.mul(c, a) for a in self.entries))
+        p = self.field.char
+        ents = tuple(c * a % p for a in self.entries) if p \
+            else tuple(c * a for a in self.entries)
+        return Matrix(self.field, self.rows, self.cols, ents)
 
     def mul(self, other):
         """The product, with one loop per field: over F_p the row sums are plain
@@ -382,15 +389,31 @@ class Subspace:
         return [self.basis.row(i) for i in range(self.dim)]
 
     def reduce_vector(self, vec):
-        """Subtract the projection onto this subspace along its pivot columns."""
-        F = self.field
+        """Subtract the projection onto this subspace along its pivot columns.
+
+        One loop per field.  Over F_p the rows are subtracted on their nonzero
+        entries in plain ints, reduced once at the end; each coefficient is
+        read off the input, since the other rows are zero in a row's pivot
+        column.  Over Q each row is subtracted in turn with the `Fraction`
+        operators.  A vector that nothing is subtracted from comes back as it
+        was given."""
+        p, basis = self.field.char, self.basis
+        if p:
+            v = None
+            for i, pc in enumerate(self.pivots):
+                c = vec[pc] % p
+                if c:
+                    if v is None:
+                        v = list(vec)
+                    for j, y in enumerate(basis.row(i)):
+                        if y:
+                            v[j] -= c * y
+            return tuple(vec) if v is None else tuple(x % p for x in v)
         v = list(vec)
-        for i, p in enumerate(self.pivots):
-            c = v[p]
-            if F.is_zero(c):
-                continue
-            row = self.basis.row(i)
-            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+        for i, pc in enumerate(self.pivots):
+            c = v[pc]
+            if c != 0:
+                v = [x - c * y for x, y in zip(v, basis.row(i))]
         return tuple(v)
 
     def contains_vector(self, vec) -> bool:

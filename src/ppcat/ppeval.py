@@ -42,8 +42,16 @@ class SortedSubspace:
 
 
 def eval_formula(f: PpFormula, M: Representation) -> SortedSubspace:
+    """The solution set of f in M, computed once per (formula, module)."""
     if f.algebra != M.algebra:
         raise AlgebraMismatch("formula and module over different algebras")
+    value = M._formula_values.get(f)
+    if value is None:
+        value = M._formula_values[f] = _eval_formula(f, M)
+    return value
+
+
+def _eval_formula(f: PpFormula, M: Representation) -> SortedSubspace:
     F = M.field
     variables = f.all_vars()
     index = {v.name: k for k, v in enumerate(variables)}

@@ -52,6 +52,7 @@ class PpFormula:
         self.free_vars = tuple(free_vars)
         self.bound_vars = tuple(bound_vars)
         self.equations = tuple(_merge_equation(eq) for eq in equations)
+        self._hash = None  # memo of __hash__
         names = [v.name for v in self.free_vars + self.bound_vars]
         if len(set(names)) != len(names):
             raise SortMismatch("duplicate variable names")
@@ -91,7 +92,9 @@ class PpFormula:
                 and self.equations == other.equations)
 
     def __hash__(self):
-        return hash((self.free_vars, self.bound_vars, self.equations))
+        if self._hash is None:
+            self._hash = hash((self.free_vars, self.bound_vars, self.equations))
+        return self._hash
 
     def __str__(self):
         parts = []

@@ -166,7 +166,8 @@ class RingElement:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(self.sorted_terms())))
+        # order-free, like the dict equality above: no sort per hash
+        return hash((self.source, self.target, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

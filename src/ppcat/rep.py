@@ -41,6 +41,8 @@ class Representation:
                        self.dims[arrow.source]))
             full[arrow.name] = m
         self.maps = full
+        self._path_matrices = {}  # memo of act: Path -> its matrix on this module
+        self._formula_values = {}  # memo of ppeval.eval_formula: PpFormula -> value
         if check:
             for rel in algebra.relations:
                 if not act(self, rel).is_zero():
@@ -148,16 +150,21 @@ def dual_module(M: Representation) -> Representation:
 
 
 def act(m: Representation, r: RingElement) -> Matrix:
-    """The matrix of multiplication by r, shape dim(target) x dim(source)."""
+    """The matrix of multiplication by r, shape dim(target) x dim(source); the
+    matrix of each path is computed once per module."""
     quiver = m.algebra.quiver
     if r.source not in quiver.vertices or r.target not in quiver.vertices:
         raise SortMismatch("element sorts not in the algebra")
     F = m.field
+    memo = m._path_matrices
     out = Matrix.zero(F, m.dims[r.target], m.dims[r.source])
     for path, coeff in r.terms.items():
-        acc = Matrix.identity(F, m.dims[path.source])
-        for name in path.arrows:
-            acc = m.maps[name].mul(acc)
+        acc = memo.get(path)
+        if acc is None:
+            acc = Matrix.identity(F, m.dims[path.source])
+            for name in path.arrows:
+                acc = m.maps[name].mul(acc)
+            memo[path] = acc
         out = out.add(acc.scale(coeff))
     return out
 
