@@ -753,10 +753,6 @@ def print_workspace(ws: Workspace) -> str:
 # -- reports ----------------------------------------------------------------
 
 
-def exact_str(field, value):
-    return field.to_str(value)
-
-
 def _stringify(x, field=None):
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x

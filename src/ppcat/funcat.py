@@ -11,6 +11,7 @@ as Hom(X_min, Y / t(Y)).
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
@@ -18,39 +19,47 @@ from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotSplitEndo, PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, commuting_equations, commuting_solutions, kernel,
-    rank, row_apply, solve, trace_form_radical, trace_gram, vstack,
+    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_equations,
+    commuting_solutions, kernel, rank, row_apply, solve, trace_form_radical, trace_gram, vstack,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
 from .rep import (
-    coordinate_map, direct_sum, endo_radical, find_invertible, hom_space, linear_combination,
-    summand_inclusion, summand_projection,
+    RepMorphism, coordinate_map, direct_sum, endo_radical, find_invertible, hom_space,
+    linear_combination,
 )
 
 
 class FiniteAlgebra:
-    """A finite-dimensional algebra by multiplication table.
+    """A finite-dimensional algebra by structure constants.
 
     Products read left to right: mul(a, b) is "a then b" (for endomorphism
     algebras this is composition b o a), so right modules over an Auslander
     algebra decompose by which summand a morphism starts from.
+
+    `constants` comes in one of two forms: sparse, a mapping (i, j) -> the
+    (k, c) pairs of b_i b_j = sum c b_k (a pair missing from it multiplies to
+    zero), or the dense n x n table of coordinate tuples, converted once.
+    Only the nonzero constants are kept; `table` rebuilds the dense form.
     """
 
-    def __init__(self, field, labels, table, idempotents, validate=True):
+    def __init__(self, field, labels, constants, idempotents, validate=True):
         self.field = field
         self.labels = tuple(labels)
-        self.table = tuple(tuple(tuple(cell) for cell in row) for row in table)
         self.idempotents = tuple(tuple(e) for e in idempotents)
         n = len(self.labels)
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise DimensionMismatch("multiplication table shape mismatch")
-        # structure constants: the nonzero (k, c) of every cell, as field values
-        add, zero = field.add, field.zero()
-        self._constants = tuple(
-            tuple(tuple((k, add(zero, c)) for k, c in enumerate(cell) if not field.is_zero(c))
-                  for cell in row)
-            for row in self.table)
+        if not isinstance(constants, Mapping):
+            constants = _constants_of_table(constants, n)
+        # row i: j -> the nonzero (k, c) of b_i b_j, as field values
+        add, zero, is_zero = field.add, field.zero(), field.is_zero
+        rows = [{} for _ in range(n)]
+        for (i, j), cell in constants.items():
+            cell = tuple((k, add(zero, c)) for k, c in cell if not is_zero(c))
+            if not (0 <= i < n and 0 <= j < n and all(0 <= k < n for k, _ in cell)):
+                raise DimensionMismatch("structure constant index out of range")
+            if cell:
+                rows[i][j] = cell
+        self._rows = tuple(rows)
         one = field.one()
         self._basis = tuple(tuple(one if i == k else zero for i in range(n)) for k in range(n))
         self._radical = None  # memo of radical()
@@ -64,6 +73,13 @@ class FiniteAlgebra:
     @property
     def dim(self):
         return len(self.labels)
+
+    @property
+    def table(self):
+        """The dense multiplication table: cell (i, j) holds the coordinates of
+        b_i b_j.  Built anew on every call."""
+        return tuple(tuple(self._dense(dict(row.get(j, ()))) for j in range(self.dim))
+                     for row in self._rows)
 
     def zero_vector(self):
         return (self.field.zero(),) * self.dim
@@ -79,17 +95,36 @@ class FiniteAlgebra:
         return tuple(out)
 
     def mul(self, a, b):
-        F = self.field
-        p = F.char
-        out = [0 if p else F.zero()] * self.dim
-        nonzero_b = [(j, cb) for j, cb in enumerate(b) if cb]
-        for ca, row in zip(a, self._constants):
-            if ca:
-                for j, cb in nonzero_b:
-                    c = ca * cb
-                    for k, ck in row[j]:
-                        out[k] += c * ck
-        return tuple(x % p for x in out) if p else tuple(out)
+        return self._dense(self._sparse_mul(self._sparse(a), self._sparse(b)))
+
+    def _sparse(self, vec):
+        """vec as {index: nonzero coordinate}, the coordinates as field values."""
+        add, zero = self.field.add, self.field.zero()
+        return {k: c for k, c in ((k, add(zero, c)) for k, c in enumerate(vec) if c) if c}
+
+    def _dense(self, vec):
+        out = list(self.zero_vector())
+        for k, c in vec.items():
+            out[k] = c
+        return tuple(out)
+
+    def _sparse_mul(self, a, b):
+        """a b for a and b given as {index: nonzero coordinate}, in that form;
+        only the products b_i b_j with nonzero constants are visited."""
+        p = self.field.char
+        acc = {}
+        for i, ca in a.items():
+            row = self._rows[i]
+            if row:
+                for j, cb in b.items():
+                    cell = row.get(j)
+                    if cell:
+                        c = ca * cb
+                        for k, ck in cell:
+                            acc[k] = acc.get(k, 0) + c * ck
+        if p:
+            return {k: v % p for k, v in acc.items() if v % p}
+        return {k: v for k, v in acc.items() if v}
 
     def regular_module(self):
         """The right regular module; the action matrix of b_k has row i equal
@@ -100,8 +135,8 @@ class FiniteAlgebra:
             action = []
             for k in range(d):
                 ents = [zero] * (d * d)
-                for i, row in enumerate(self._constants):
-                    for m, c in row[k]:
+                for i, row in enumerate(self._rows):
+                    for m, c in row.get(k, ()):
                         ents[i * d + m] = c
                 action.append(Matrix(self.field, d, d, tuple(ents)))
             self._regular = tuple(action)
@@ -121,24 +156,30 @@ class FiniteAlgebra:
         return self._radical
 
     def corner(self, k, l):
-        """Basis vectors of e_k A e_l."""
-        F = self.field
-        ek, el = self.idempotents[k], self.idempotents[l]
-        vecs = [self.mul(self.mul(ek, self.basis_vector(i)), el) for i in range(self.dim)]
-        return Subspace.from_vectors(F, self.dim, vecs)
+        """Basis vectors of e_k A e_l: the span of the e_k b_i e_l, formed only
+        for the b_i with b_a b_i nonzero for some a in the support of e_k (e_k
+        kills every other b_i)."""
+        ek, el = self._sparse(self.idempotents[k]), self._sparse(self.idempotents[l])
+        one = self.field.one()
+        vecs = []
+        for i in {i for a in ek for i in self._rows[a]}:
+            v = self._sparse_mul(self._sparse_mul(ek, {i: one}), el)
+            if v:
+                vecs.append(self._dense(v))
+        return Subspace.from_vectors(self.field, self.dim, vecs)
 
     def _validate(self):
         n = self.dim
         self._check_associative()
-        one = self.unit_vector()
+        one = self._sparse(self.unit_vector())
         for i in range(n):
-            b = self.basis_vector(i)
-            if self.mul(one, b) != b or self.mul(b, one) != b:
+            b = {i: self.field.one()}
+            if self._sparse_mul(one, b) != b or self._sparse_mul(b, one) != b:
                 raise PpcatError("idempotents do not sum to a unit")
-        for a, ea in enumerate(self.idempotents):
-            for b, eb in enumerate(self.idempotents):
-                want = ea if a == b else self.zero_vector()
-                if self.mul(ea, eb) != want:
+        idempotents = [self._sparse(e) for e in self.idempotents]
+        for a, ea in enumerate(idempotents):
+            for b, eb in enumerate(idempotents):
+                if self._sparse_mul(ea, eb) != (ea if a == b else {}):
                     raise PpcatError("idempotents are not orthogonal")
         # primitivity: each corner is local (corner / corner-radical is 1-dim)
         for k in range(len(self.idempotents)):
@@ -151,27 +192,32 @@ class FiniteAlgebra:
     def _check_associative(self):
         """(b_i b_j) b_k = b_i (b_j b_k) for every triple of basis elements,
         exactly.  Both sides are sums over structure constants: the left one
-        over those of b_i b_j, the right one over those of b_j b_k.  So when
-        both products are zero both sides are zero; every other triple is
-        computed and compared."""
-        p = self.field.char
-        C = self._constants
-        n = self.dim
-
-        def combine(scaled_cells):
-            acc = {}
-            for c, cell in scaled_cells:
-                for l, x in cell:
-                    acc[l] = acc.get(l, 0) + c * x
-            return {l: v for l, v in ((l, v % p if p else v) for l, v in acc.items()) if v}
-
-        for j in range(n):
-            right = [k for k in range(n) if C[j][k]]
-            for i in range(n):
-                for k in range(n) if C[i][j] else right:
-                    lhs = combine((c, C[m][k]) for m, c in C[i][j])
-                    rhs = combine((c, C[i][m]) for m, c in C[j][k])
-                    if lhs != rhs:
+        is sum_m c_m (b_m b_k) over the terms c_m b_m of b_i b_j, the right one
+        sum_m c_m (b_i b_m) over the terms of b_j b_k.  So for a pair (i, j)
+        only the k in the right support of b_j or of a term of b_i b_j can
+        give a nonzero side; those are computed and compared.  And a pair
+        with b_i b_j = 0 needs no k at all unless b_i b_m is nonzero for some
+        term b_m of some b_j b_k: both sides are zero for every k.  So each j
+        visits the i in the left support of b_j or of such a b_m."""
+        rows = self._rows
+        one = self.field.one()
+        left = [[] for _ in rows]  # m -> the i with b_i b_m nonzero
+        for i, row in enumerate(rows):
+            for m in row:
+                left[m].append(i)
+        for j, row_j in enumerate(rows):
+            visit = set(left[j])
+            for cell in row_j.values():
+                for m, _ in cell:
+                    visit.update(left[m])
+            for i in visit:
+                b_ij = dict(rows[i].get(j, ()))
+                ks = set(row_j)
+                for m in b_ij:
+                    ks.update(rows[m])
+                for k in ks:
+                    if self._sparse_mul(b_ij, {k: one}) != \
+                            self._sparse_mul({i: one}, dict(row_j.get(k, ()))):
                         raise PpcatError("multiplication table is not associative")
 
     def _corner_residue_dim(self, c: Subspace):
@@ -179,9 +225,18 @@ class FiniteAlgebra:
         d = c.dim
         if F.char != 0 and F.char <= d:
             raise CharacteristicTooSmall("corner check needs larger characteristic")
-        rows = c.basis_rows()
-        mats = [Matrix.from_rows(F, [c.coordinates(self.mul(b, r)) for b in rows]) for r in rows]
+        rows = [self._sparse(r) for r in c.basis_rows()]
+        mats = [Matrix.from_rows(F, [c.coordinates(self._dense(self._sparse_mul(b, r)))
+                                     for b in rows]) for r in rows]
         return d - trace_form_radical(trace_gram(F, [(m,) for m in mats])).dim
+
+
+def _constants_of_table(table, n):
+    """The (i, j) -> (k, c) mapping of a dense n x n multiplication table."""
+    if len(table) != n or any(len(r) != n for r in table):
+        raise DimensionMismatch("multiplication table shape mismatch")
+    return {(i, j): tuple(enumerate(cell)) for i, row in enumerate(table)
+            for j, cell in enumerate(row)}
 
 
 class FinModule:
@@ -328,32 +383,88 @@ def fin_are_isomorphic(X: FinModule, Y: FinModule, seed=0):
 class AuslanderData:
     algebra: FiniteAlgebra
     summands: list
-    sum_rep: object
-    basis_morphisms: list  # endomorphisms of sum_rep aligned with algebra basis
+    sum_rep: object  # T, the direct sum of the summands
+    # per algebra basis element: (i, k, g) with g: M_i -> M_k, a basis morphism
+    # of the corner e_i S e_k = Hom(M_i, M_k)
+    basis_morphisms: list
     summand_of_idempotent: list  # idempotent index -> summand index
+    # (i, k) -> hom_space(M_i, M_k), the canonical basis, for all pairs
+    homs: dict = dc_field(repr=False, compare=False)
     # memo of hom_action: argument module -> (basis of Hom(T, X), action matrices)
     _hom_actions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hom_action(self, X):
         """A basis H of Hom(T, X), T = sum_rep, and for each basis morphism s
         of T the matrix of h -> h o s on H (column j holds the coordinates of
-        H[j] o s); computed once per X."""
+        H[j] o s); computed once per X.
+
+        Hom(T, X) is the direct sum of the Hom(M_i, X), h: M_i -> X entering
+        as h o proj_i.  That embedding keeps the order of h's entries within
+        the unknowns of Hom(T, X), and different summands use disjoint
+        entries, so the embedded canonical bases, merged by pivot, are the
+        canonical basis of Hom(T, X).  A basis morphism g: M_i -> M_k sends
+        the Hom(M_k, X) part to the Hom(M_i, X) part, h -> h o g, and the
+        rest to zero."""
         memo = self._hom_actions.get(X)
         if memo is None:
-            F = X.field
-            H = hom_space(self.sum_rep, X)
-            mats = []
-            if H:
-                coordinates = coordinate_map(H, self.sum_rep, X)
-                for s in self.basis_morphisms:
-                    cols = [coordinates(h.compose(s)) for h in H]
-                    mats.append(Matrix.from_rows(F, cols).transpose())
-            memo = self._hom_actions[X] = (H, mats)
+            memo = self._hom_actions[X] = self._build_hom_action(X)
         return memo
+
+    def _build_hom_action(self, X):
+        F = X.field
+        T = self.sum_rep
+        verts = X.algebra.quiver.vertices
+        # the canonical basis of Hom(M_i, X) per summand, already at hand when
+        # X is a summand
+        x_index = next((k for k, N in enumerate(self.summands) if N is X), None)
+        parts = [hom_space(M, X) if x_index is None else self.homs[i, x_index]
+                 for i, M in enumerate(self.summands)]
+        col_dims = {v: [M.dims[v] for M in self.summands] for v in verts}
+
+        def pivot(h):  # the first nonzero unknown of Hom(T, X) in h
+            return next((vi, e) for vi, v in enumerate(verts)
+                        for e, x in enumerate(h.blocks[v].entries) if x)
+        order = []  # (pivot, summand i, index in the basis of Hom(M_i, X), h o proj_i)
+        for i, hs in enumerate(parts):
+            for r, g in enumerate(hs):
+                h = RepMorphism(T, X, {v: block_matrix(F, {(0, i): g.blocks[v]}, [X.dims[v]],
+                                                       col_dims[v]) for v in verts}, check=False)
+                order.append((pivot(h), i, r, h))
+        order.sort()  # the pivots differ, so no two morphisms are compared
+        position = {(i, r): col for col, (_, i, r, _) in enumerate(order)}
+        H = [h for _, _, _, h in order]
+        nH = len(H)
+        if not nH:
+            return H, []
+        zero = F.zero()
+        coordinate_maps = {}
+        mats = []
+        for i, k, g in self.basis_morphisms:
+            ents = [zero] * (nH * nH)
+            if parts[k]:
+                coordinates = coordinate_maps.get(i)
+                if coordinates is None:
+                    coordinates = coordinate_maps[i] = \
+                        coordinate_map(parts[i], self.summands[i], X)
+                for r, h in enumerate(parts[k]):
+                    col = position[k, r]
+                    for r2, c in enumerate(coordinates(h.compose(g))):
+                        if c:
+                            ents[position[i, r2] * nH + col] = c
+            mats.append(Matrix(F, nH, nH, tuple(ents)))
+        return H, mats
 
 
 def auslander_algebra(indecomposables) -> AuslanderData:
-    """End of the direct sum, with one idempotent per summand."""
+    """End of the direct sum T, with one idempotent per summand, built one
+    corner e_i S e_k = Hom(M_i, M_k) at a time.
+
+    A corner's basis is the identity and a radical basis for i = k, and
+    hom_space(M_i, M_k) otherwise; corners follow one another with i
+    outermost.  A product of a in Hom(M_i, M_j) and b in Hom(M_j, M_k) is
+    b o a, composed on the summands, with coordinates read over the corner
+    (i, k); products of basis elements whose corners do not meet are zero.
+    """
     summands = list(indecomposables)
     if not summands:
         raise PpcatError("need at least one indecomposable")
@@ -365,45 +476,56 @@ def auslander_algebra(indecomposables) -> AuslanderData:
             raise NotSplitEndo("input without split local endomorphism ring")
         ends.append((basis, rad))
     T = direct_sum(summands)
-    incls = [summand_inclusion(summands, k, T) for k in range(len(summands))]
-    projs = [summand_projection(summands, k, T) for k in range(len(summands))]
-    labels = []
-    morphisms = []
-    pairs = []  # (source summand, target summand) of each morphism
-    idempotent_positions = []
     F = T.field
-    for i in range(len(summands)):
-        for j in range(len(summands)):
-            if i == j:
+    n = len(summands)
+    homs = {}
+    corners = {}  # (i, k) -> basis of the corner, morphisms M_i -> M_k
+    offsets = {}  # (i, k) -> algebra index of the corner's first basis element
+    labels = []
+    idempotent_positions = []
+    basis_morphisms = []
+    for i, M in enumerate(summands):
+        for k, N in enumerate(summands):
+            offsets[i, k] = len(labels)
+            if i == k:
+                basis, rad = ends[i]
+                homs[i, i] = basis
                 idempotent_positions.append(len(labels))
                 labels.append("e%d" % i)
-                morphisms.append(incls[i].compose(projs[i]))
-                pairs.append((i, i))
-                basis, rad = ends[i]
+                corner = [RepMorphism.identity(M)]
                 for r, vec in enumerate(rad.basis_rows()):
-                    f = linear_combination(basis, vec)
                     labels.append("r%d_%d" % (i, r))
-                    morphisms.append(incls[i].compose(f).compose(projs[i]))
-                    pairs.append((i, i))
+                    corner.append(linear_combination(basis, vec))
             else:
-                for k, g in enumerate(hom_space(summands[i], summands[j])):
-                    labels.append("f%d_%d_%d" % (i, j, k))
-                    morphisms.append(incls[j].compose(g).compose(projs[i]))
-                    pairs.append((i, j))
+                corner = homs[i, k] = hom_space(M, N)
+                labels.extend("f%d_%d_%d" % (i, k, m) for m in range(len(corner)))
+            corners[i, k] = corner
+            basis_morphisms.extend((i, k, g) for g in corner)
     # mul(a, b) = "a then b" = b o a, which is zero unless b starts where a ends
-    coordinates = coordinate_map(morphisms, T, T)
-    zero = (F.zero(),) * len(morphisms)
-    table = [[coordinates(b.compose(a)) if b_pair[0] == a_pair[1] else zero
-              for b, b_pair in zip(morphisms, pairs)]
-             for a, a_pair in zip(morphisms, pairs)]
+    constants = {}
+    coordinate_maps = {}  # (i, k) -> coordinates over the corner (i, k)
+    for (i, j), A in corners.items():
+        for k in range(n):
+            B = corners[j, k]
+            if not (A and B):
+                continue
+            coordinates = coordinate_maps.get((i, k))
+            if coordinates is None:
+                coordinates = coordinate_maps[i, k] = \
+                    coordinate_map(corners[i, k], summands[i], summands[k])
+            base = offsets[i, k]
+            for x, a in enumerate(A, offsets[i, j]):
+                for y, b in enumerate(B, offsets[j, k]):
+                    cell = [(base + m, c) for m, c in enumerate(coordinates(b.compose(a))) if c]
+                    if cell:
+                        constants[x, y] = cell
     idempotents = []
     for pos in idempotent_positions:
         z = [F.zero()] * len(labels)
         z[pos] = F.one()
         idempotents.append(tuple(z))
-    algebra = FiniteAlgebra(F, labels, table, idempotents)
-    return AuslanderData(algebra, summands, T, morphisms,
-                         list(range(len(summands))))
+    algebra = FiniteAlgebra(F, labels, constants, idempotents)
+    return AuslanderData(algebra, summands, T, basis_morphisms, list(range(n)), homs)
 
 
 def projective_row(data_or_algebra, k) -> FinModule:
@@ -551,18 +673,25 @@ class QHom:
 
 
 def quotient_hom(X: FinModule, Y: FinModule, serre: SerreData,
-                 alg_radical: Subspace) -> QHom:
-    x_min = minimal_cotorsion(X, serre, alg_radical)
-    y_tors = torsion_part(Y, serre, alg_radical)
+                 alg_radical: Subspace, x_min=None, y_tors=None) -> QHom:
+    """Hom(X_min, Y / t(Y)); X_min and t(Y) are computed unless given."""
+    if x_min is None:
+        x_min = minimal_cotorsion(X, serre, alg_radical)
+    if y_tors is None:
+        y_tors = torsion_part(Y, serre, alg_radical)
     dom = X.restrict(x_min)
     cod, _ = Y.quotient(y_tors)
     return QHom(X, Y, serre, x_min, y_tors, fin_hom(dom, cod))
 
 
-def qhom_identity(X: FinModule, serre: SerreData, alg_radical: Subspace) -> Matrix:
-    """The image of the identity: X_min included in X, projected mod t(X)."""
-    x_min = minimal_cotorsion(X, serre, alg_radical)
-    t = torsion_part(X, serre, alg_radical)
+def qhom_identity(X: FinModule, serre: SerreData, alg_radical: Subspace,
+                  x_min=None, t=None) -> Matrix:
+    """The image of the identity: X_min included in X, projected mod t(X);
+    X_min and t(X) are computed unless given."""
+    if x_min is None:
+        x_min = minimal_cotorsion(X, serre, alg_radical)
+    if t is None:
+        t = torsion_part(X, serre, alg_radical)
     q = QuotientSpace(Subspace.full(X.field, X.dim), t)
     rows = [q.project_vector(r) for r in x_min.basis_rows()]
     return Matrix.from_rows(X.field, rows) if rows else Matrix(X.field, 0, q.dim, ())
@@ -608,16 +737,21 @@ class SkeletonReport:
 
 def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
                       seed=0) -> SkeletonReport:
-    """Group the survivors into quotient-isomorphism classes."""
+    """Group the survivors into quotient-isomorphism classes.
+
+    t(X) is computed once per functor, and X_min once per functor that a
+    pair needs."""
     functors = list(functors)
-    F = functors[0].field if functors else None
-    discarded = []
-    survivors = []
-    for k, X in enumerate(functors):
-        if torsion_part(X, serre, alg_radical).dim == X.dim:
-            discarded.append(k)
-        else:
-            survivors.append(k)
+    tors = [torsion_part(X, serre, alg_radical) for X in functors]
+    discarded = [k for k, X in enumerate(functors) if tors[k].dim == X.dim]
+    survivors = [k for k, X in enumerate(functors) if tors[k].dim != X.dim]
+    mins = {}
+
+    def x_min(k):
+        if k not in mins:
+            mins[k] = minimal_cotorsion(functors[k], serre, alg_radical)
+        return mins[k]
+
     certain = True
     classes = []
     reps = []  # class representatives
@@ -625,12 +759,12 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
     def mutually_inverse(i, j):
         nonlocal certain
         Xi, Xj = functors[i], functors[j]
-        fwd = quotient_hom(Xi, Xj, serre, alg_radical)
-        bwd = quotient_hom(Xj, Xi, serre, alg_radical)
+        fwd = quotient_hom(Xi, Xj, serre, alg_radical, x_min(i), tors[j])
+        bwd = quotient_hom(Xj, Xi, serre, alg_radical, x_min(j), tors[i])
         if not fwd.basis or not bwd.basis:
             return False
-        id_i = qhom_identity(Xi, serre, alg_radical)
-        id_j = qhom_identity(Xj, serre, alg_radical)
+        id_i = qhom_identity(Xi, serre, alg_radical, x_min(i), tors[i])
+        id_j = qhom_identity(Xj, serre, alg_radical, x_min(j), tors[j])
         after_fwd = _qhom_lift(bwd, fwd)  # (g, f) -> g o f, Xi -> Xj -> Xi
         after_bwd = _qhom_lift(fwd, bwd)  # (f, g) -> f o g, Xj -> Xi -> Xj
         rng = random.Random(seed)

@@ -494,7 +494,9 @@ def commuting_equations(field, shapes, squares):
 
     The unknowns are the entries of the blocks X_k, of shape shapes[k], each
     block row-major and the blocks in order; each square contributes one
-    equation per entry (i, j) of X_t P - Q X_s, in row-major order.
+    equation per entry (i, j) of X_t P - Q X_s, in row-major order, except
+    the equations that are identically zero: those where row i of Q and
+    column j of P are both zero, and those whose two terms cancel.
     """
     offsets, total = _offsets(r * c for r, c in shapes)
     add, sub, zero = field.add, field.sub, field.zero()
@@ -504,17 +506,21 @@ def commuting_equations(field, shapes, squares):
         if (P.rows, P.cols, Q.rows, Q.cols) != (ct, cs, rt, rs):
             raise DimensionMismatch("square does not fit blocks %d and %d" % (s, t))
         os_, ot = offsets[s], offsets[t]
-        p_cols = [P.col(j) for j in range(cs)]
+        p_cols = [[(k, x) for k, x in enumerate(P.col(j)) if x] for j in range(cs)]
         for i in range(rt):
-            q_row = Q.row(i)
+            q_row = [(l, x) for l, x in enumerate(Q.row(i)) if x]
             for j in range(cs):
+                if not (q_row or p_cols[j]):
+                    continue
                 row = [zero] * total
-                for k, x in enumerate(p_cols[j]):
-                    if x:
-                        row[ot + i * ct + k] = add(row[ot + i * ct + k], x)
-                for l, x in enumerate(q_row):
-                    if x:
-                        row[os_ + l * cs + j] = sub(row[os_ + l * cs + j], x)
+                for k, x in p_cols[j]:
+                    row[ot + i * ct + k] = add(row[ot + i * ct + k], x)
+                for l, x in q_row:
+                    row[os_ + l * cs + j] = sub(row[os_ + l * cs + j], x)
+                # the terms meet only at X_s[i][j] of a square with s = t, so
+                # only a row of one term from each side can cancel to zero
+                if s == t and len(q_row) == len(p_cols[j]) == 1 and not any(row):
+                    continue
                 rows.append(row)
     return rows
 

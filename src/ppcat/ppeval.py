@@ -124,9 +124,6 @@ class FreeRealization:
     module: Representation
     tuple_vectors: tuple  # one vector per free variable, in its sort component
 
-    def flat_tuple(self):
-        return tuple(x for vec in self.tuple_vectors for x in vec)
-
 
 def free_realization(f: PpFormula) -> FreeRealization:
     """The finitely presented module with a tuple generic for the formula."""

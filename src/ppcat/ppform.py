@@ -369,10 +369,3 @@ def difference_map(rho1: PpFormula, rho2: PpFormula, n_inputs: int) -> PpFormula
     """delta(xbar, ybar): exists y1,y2 (rho1(x,y1) & rho2(x,y2) & y = y1 - y2)."""
     F = rho1.algebra.field
     return combine_map_formulas(rho1, rho2, n_inputs, F.one(), F.neg(F.one()))
-
-
-def scale_map_formula(rho: PpFormula, c, n: int) -> PpFormula:
-    """The relation  ybar = c * y'bar  where rho relates xbar to y'bar."""
-    zero = zero_map_formula(rho.algebra, [v.sort for v in rho.free_vars[:n]],
-                            [v.sort for v in rho.free_vars[n:]])
-    return combine_map_formulas(rho, zero, n, c, rho.algebra.field.one())

@@ -151,22 +151,31 @@ def dual_module(M: Representation) -> Representation:
 
 def act(m: Representation, r: RingElement) -> Matrix:
     """The matrix of multiplication by r, shape dim(target) x dim(source); the
-    matrix of each path is computed once per module."""
+    matrix of each path is computed once per module, and is the answer itself
+    for a single path with coefficient one."""
     quiver = m.algebra.quiver
     if r.source not in quiver.vertices or r.target not in quiver.vertices:
         raise SortMismatch("element sorts not in the algebra")
     F = m.field
-    memo = m._path_matrices
+    if len(r.terms) == 1:
+        (path, coeff), = r.terms.items()
+        if F.is_zero(F.sub(coeff, F.one())):
+            return _path_matrix(m, path)
     out = Matrix.zero(F, m.dims[r.target], m.dims[r.source])
     for path, coeff in r.terms.items():
-        acc = memo.get(path)
-        if acc is None:
-            acc = Matrix.identity(F, m.dims[path.source])
-            for name in path.arrows:
-                acc = m.maps[name].mul(acc)
-            memo[path] = acc
-        out = out.add(acc.scale(coeff))
+        out = out.add(_path_matrix(m, path).scale(coeff))
     return out
+
+
+def _path_matrix(m: Representation, path) -> Matrix:
+    """The matrix of a path on m, multiplied out once per module."""
+    acc = m._path_matrices.get(path)
+    if acc is None:
+        acc = Matrix.identity(m.field, m.dims[path.source])
+        for name in path.arrows:
+            acc = m.maps[name].mul(acc)
+        m._path_matrices[path] = acc
+    return acc
 
 
 def hom_space(M: Representation, N: Representation):
@@ -223,10 +232,9 @@ def direct_sum(reps) -> Representation:
     return Representation(alg, dims, maps, check=False)
 
 
-def summand_inclusion(reps, k, total=None) -> RepMorphism:
-    """The inclusion of reps[k] into `total`, their direct sum (built when
-    not given)."""
-    total = direct_sum(reps) if total is None else total
+def summand_inclusion(reps, k) -> RepMorphism:
+    """The inclusion of reps[k] into the direct sum of reps."""
+    total = direct_sum(reps)
     F = total.field
     blocks = {v: block_matrix(F, {(k, 0): Matrix.identity(F, reps[k].dims[v])},
                               [r.dims[v] for r in reps], [reps[k].dims[v]])
@@ -234,10 +242,9 @@ def summand_inclusion(reps, k, total=None) -> RepMorphism:
     return RepMorphism(reps[k], total, blocks, check=False)
 
 
-def summand_projection(reps, k, total=None) -> RepMorphism:
-    """The projection of `total`, the direct sum of reps (built when not
-    given), onto reps[k]."""
-    total = direct_sum(reps) if total is None else total
+def summand_projection(reps, k) -> RepMorphism:
+    """The projection of the direct sum of reps onto reps[k]."""
+    total = direct_sum(reps)
     F = total.field
     blocks = {v: block_matrix(F, {(0, k): Matrix.identity(F, reps[k].dims[v])},
                               [reps[k].dims[v]], [r.dims[v] for r in reps])

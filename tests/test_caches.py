@@ -101,6 +101,36 @@ def test_memoised_values_match_a_fresh_module(field):
                 assert act(M, r) == uncached_act(fresh_copy(M), r)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)], ids=str)
+def test_single_path_with_coefficient_one_is_the_memoised_matrix(field, monkeypatch):
+    rng = random.Random(5)
+    ones = (field.one(), 1) + ((field.char + 1,) if field.char else ())
+    cases = []
+    for alg in random_algebra_pool(field):
+        M = random_module(rng, alg)
+        # over Q, arrow matrices built from plain ints as well
+        ints = Representation(alg, dict(M.dims), {
+            a.name: Matrix(field, M.dims[a.target], M.dims[a.source],
+                           tuple(rng.randrange(-3, 4) for _ in range(M.dims[a.target]
+                                                                   * M.dims[a.source])))
+            for a in alg.quiver.arrows}, check=False)
+        for N in (M, ints):
+            for s in alg.quiver.vertices:
+                for t in alg.quiver.vertices:
+                    for arrows in paths_up_to_len2(alg.quiver, s, t):
+                        p = make_path(alg.quiver, arrows) if arrows else QPath.lazy(s)
+                        for one in ones:
+                            cases.append((N, p, RingElement(field, s, t, {p: one})))
+    want = [uncached_act(N, r) for N, _, r in cases]
+    for name in ("zero", "scale", "add"):
+        monkeypatch.setattr(Matrix, name, None)
+    for (N, p, r), w in zip(cases, want):
+        got = act(N, r)
+        assert got is N._path_matrices[p]
+        assert got == w
+        assert [type(x) for x in got.entries] == [type(x) for x in w.entries]
+
+
 def test_validate_then_apply_evaluates_each_pair_once(monkeypatch):
     ws = load_builtin("d4tilde")
     I4, M0 = ws.get("interp", "I4"), ws.get("module", "M0")
