@@ -13,14 +13,14 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotSplitEndo, PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_equations,
-    commuting_solutions, kernel, rank, row_apply, solve, trace_form_radical, trace_gram, vstack,
+    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel, rank,
+    row_apply, solve, sparse_commuting_equations, trace_form_radical, trace_gram, vstack,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
@@ -63,8 +63,9 @@ class FiniteAlgebra:
         one = field.one()
         self._basis = tuple(tuple(one if i == k else zero for i in range(n)) for k in range(n))
         self._radical = None  # memo of radical()
-        # memos of regular_module() and of projective_row (k -> e_k S), kept as
-        # (dim, action) so that they hold no module pointing back at self
+        # memos of regular_module() (filled only when it is called) and of
+        # projective_row (k -> e_k S), kept as (dim, action) so that they hold
+        # no module pointing back at self
         self._regular = None
         self._projective_rows = {}
         if validate:
@@ -151,9 +152,36 @@ class FiniteAlgebra:
             raise CharacteristicTooSmall(
                 "characteristic %d too small for dim %d" % (F.char, d))
         if self._radical is None:
-            mats = self.regular_module().action
-            self._radical = trace_form_radical(trace_gram(F, [(m,) for m in mats]))
+            self._radical = trace_form_radical(self.regular_trace_gram())
         return self._radical
+
+    def regular_trace_gram(self) -> Matrix:
+        """The Gram matrix gram[a][b] = trace(R_a R_b) of the right regular
+        representation, R_a: b_i -> b_i b_a, read off the structure constants
+        (the matrix `trace_gram` gives on the `regular_module()` action).
+
+        With b_i b_a = sum_m c^m_ia b_m, trace(R_a R_b) is the sum over i and
+        m of c^m_ia c^i_mb.  So the nonzero constants are grouped by the pair
+        (i, m), as the (a, c^m_ia) with that pair, and each pair (i, m) adds
+        the products of its list with the list of the pair (m, i)."""
+        F, d = self.field, self.dim
+        p = F.char
+        by_pair = {}
+        for i, row in enumerate(self._rows):
+            for a, cell in row.items():
+                for m, c in cell:
+                    by_pair.setdefault((i, m), []).append((a, c))
+        gram = [[0 if p else F.zero()] * d for _ in range(d)]
+        for (i, m), left in by_pair.items():
+            right = by_pair.get((m, i))
+            if right:
+                for a, x in left:
+                    out = gram[a]
+                    for b, y in right:
+                        out[b] += x * y
+        if p:
+            gram = [[x % p for x in row] for row in gram]
+        return Matrix(F, d, d, tuple(chain.from_iterable(gram)))
 
     def corner(self, k, l):
         """Basis vectors of e_k A e_l: the span of the e_k b_i e_l, formed only
@@ -314,12 +342,14 @@ class FinModule:
         return FinModule(self.algebra, q.dim, action, check=False), q
 
     def radical_subspace(self, alg_radical: Subspace) -> Subspace:
+        """V rad(S), the span of the rows of the radical's action; it is a
+        submodule already, rad(S) being a two-sided ideal."""
         vecs = []
         for r in alg_radical.basis_rows():
             m = self.act_vector(r)
             for i in range(self.dim):
                 vecs.append(m.row(i))
-        return self.submodule(vecs)
+        return Subspace.from_vectors(self.field, self.dim, vecs)
 
     def socle(self, alg_radical: Subspace) -> Subspace:
         F = self.field
@@ -390,13 +420,15 @@ class AuslanderData:
     summand_of_idempotent: list  # idempotent index -> summand index
     # (i, k) -> hom_space(M_i, M_k), the canonical basis, for all pairs
     homs: dict = dc_field(repr=False, compare=False)
-    # memo of hom_action: argument module -> (basis of Hom(T, X), action matrices)
+    # memo of hom_action: argument module -> (basis of Hom(T, X), the nonzero
+    # columns of each basis element's action)
     _hom_actions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hom_action(self, X):
         """A basis H of Hom(T, X), T = sum_rep, and for each basis morphism s
-        of T the matrix of h -> h o s on H (column j holds the coordinates of
-        H[j] o s); computed once per X.
+        of T the action h -> h o s on H by its nonzero columns: a dict from
+        column j, in H order, to the nonzero (row, value) pairs, in H order,
+        of the coordinates of H[j] o s; computed once per X.
 
         Hom(T, X) is the direct sum of the Hom(M_i, X), h: M_i -> X entering
         as h o proj_i.  That embedding keeps the order of h's entries within
@@ -404,7 +436,7 @@ class AuslanderData:
         entries, so the embedded canonical bases, merged by pivot, are the
         canonical basis of Hom(T, X).  A basis morphism g: M_i -> M_k sends
         the Hom(M_k, X) part to the Hom(M_i, X) part, h -> h o g, and the
-        rest to zero."""
+        rest to zero: only Hom(M_k, X) columns and Hom(M_i, X) rows occur."""
         memo = self._hom_actions.get(X)
         if memo is None:
             memo = self._hom_actions[X] = self._build_hom_action(X)
@@ -433,26 +465,25 @@ class AuslanderData:
         order.sort()  # the pivots differ, so no two morphisms are compared
         position = {(i, r): col for col, (_, i, r, _) in enumerate(order)}
         H = [h for _, _, _, h in order]
-        nH = len(H)
-        if not nH:
+        if not H:
             return H, []
-        zero = F.zero()
         coordinate_maps = {}
-        mats = []
+        actions = []
         for i, k, g in self.basis_morphisms:
-            ents = [zero] * (nH * nH)
+            cols = {}
             if parts[k]:
                 coordinates = coordinate_maps.get(i)
                 if coordinates is None:
                     coordinates = coordinate_maps[i] = \
                         coordinate_map(parts[i], self.summands[i], X)
+                # positions grow with the index within a summand's basis
                 for r, h in enumerate(parts[k]):
-                    col = position[k, r]
-                    for r2, c in enumerate(coordinates(h.compose(g))):
-                        if c:
-                            ents[position[i, r2] * nH + col] = c
-            mats.append(Matrix(F, nH, nH, tuple(ents)))
-        return H, mats
+                    col = tuple((position[i, r2], c)
+                                for r2, c in enumerate(coordinates(h.compose(g))) if c)
+                    if col:
+                        cols[position[k, r]] = col
+            actions.append(cols)
+        return H, actions
 
 
 def auslander_algebra(indecomposables) -> AuslanderData:
@@ -534,12 +565,34 @@ def projective_row(data_or_algebra, k) -> FinModule:
         else data_or_algebra
     memo = S._projective_rows.get(k)
     if memo is None:
-        reg = S.regular_module()
-        ek = S.idempotents[k]
-        vecs = [S.mul(ek, S.basis_vector(j)) for j in range(S.dim)]
-        row = reg.restrict(reg.submodule(vecs))
-        memo = S._projective_rows[k] = (row.dim, row.action)
+        memo = S._projective_rows[k] = _right_ideal_action(S, k)
     return FinModule(S, *memo, check=False)
+
+
+def _right_ideal_action(S: FiniteAlgebra, k):
+    """(dim, action) of e_k S, from the structure constants.
+
+    e_k S is a right ideal, so the span of the e_k b_j is closed under the
+    action.  The action matrix of b_m has as row r the coordinates of
+    (basis row r) b_m, which are read (and checked) only when that product
+    is nonzero."""
+    F, n = S.field, S.dim
+    one = F.one()
+
+    def right_support(v):  # the m with b_i b_m nonzero for some i in v
+        return {m for i in v for m in S._rows[i]}
+    ek = S._sparse(S.idempotents[k])
+    vecs = [S._dense(v) for v in (S._sparse_mul(ek, {j: one}) for j in right_support(ek)) if v]
+    sub = Subspace.from_vectors(F, n, vecs)
+    zero_row = (F.zero(),) * sub.dim
+    rows = [[] for _ in range(n)]  # m -> the rows of the action matrix of b_m
+    for row in sub.basis_rows():
+        r = S._sparse(row)
+        support = right_support(r)
+        for m, out in enumerate(rows):
+            prod = S._sparse_mul(r, {m: one}) if m in support else None
+            out.append(sub.coordinates(S._dense(prod)) if prod else zero_row)
+    return sub.dim, tuple(Matrix.from_rows(F, out) for out in rows)
 
 
 def simple_module(data_or_algebra, k) -> FinModule:
@@ -582,9 +635,13 @@ def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
     if ambient == 0:
         return FunctorValue(0, 0, Subspace.zero(F, 0))
     # the relations v s (x) h - v (x) s h, written as the commuting squares
-    # of one nV x nH block
-    squares = [(0, 0, act_h, Av) for Av, act_h in zip(V.action, actions)]
-    rel = Subspace.from_vectors(F, ambient, commuting_equations(F, [(nV, nH)], squares))
+    # of one nV x nH block: P the action of s on H, Q that on V
+    squares = []
+    for Av, cols in zip(V.action, actions):
+        if cols or any(Av.entries):
+            q_rows = [[(l, x) for l, x in enumerate(Av.row(i)) if x] for i in range(nV)]
+            squares.append((0, 0, [cols.get(j, ()) for j in range(nH)], q_rows))
+    rel = Subspace.from_vectors(F, ambient, sparse_commuting_equations(F, [(nV, nH)], squares))
     return FunctorValue(ambient - rel.dim, ambient, rel)
 
 

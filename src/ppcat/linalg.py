@@ -474,18 +474,36 @@ def quotient_dim(a: Subspace, b: Subspace) -> int:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Solution space of m v = 0, as a subspace of F^cols."""
-    F = m.field
-    red, pivots = rref_with_pivots(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    """Solution space of m v = 0, as a subspace of F^cols, from one elimination.
+
+    The RREF is taken of m with its columns reversed.  Each of its free
+    columns c gives the kernel vector with 1 at c, zero at the other free
+    columns, and minus the entries of column c of the RREF at the pivots;
+    a row of the RREF is nonzero only at and after its pivot, so in the
+    original column order that vector has entries only to the right of c.
+    Taken by increasing c, these vectors are the canonical RREF basis of the
+    kernel.
+    """
+    F, n = m.field, m.cols
+    flipped = Matrix(F, m.rows, n,
+                     tuple(chain.from_iterable(m.row(i)[::-1] for i in range(m.rows))))
+    red, pivots = rref_with_pivots(flipped)
+    zero, one, neg = F.zero(), F.one(), F.neg
+    taken = set(pivots)
     vecs = []
-    for fcol in free:
-        v = [F.zero()] * m.cols
-        v[fcol] = F.one()
-        for i, p in enumerate(pivots):
-            v[p] = F.neg(red.at(i, fcol))
-        vecs.append(tuple(v))
-    return Subspace.from_vectors(F, m.cols, vecs)
+    for fcol in reversed(range(n)):
+        if fcol in taken:
+            continue
+        v = [zero] * n
+        v[n - 1 - fcol] = one
+        for i, pc in enumerate(pivots):
+            if pc > fcol:
+                break
+            x = red.entries[i * n + fcol]
+            if x:
+                v[n - 1 - pc] = neg(x)
+        vecs.extend(v)
+    return Subspace(n, Matrix(F, len(vecs) // n if n else 0, n, tuple(vecs)))
 
 
 def commuting_equations(field, shapes, squares):
@@ -496,30 +514,43 @@ def commuting_equations(field, shapes, squares):
     block row-major and the blocks in order; each square contributes one
     equation per entry (i, j) of X_t P - Q X_s, in row-major order, except
     the equations that are identically zero: those where row i of Q and
-    column j of P are both zero, and those whose two terms cancel.
+    column j of P are both zero, and those whose two terms cancel.  The
+    rows come from `sparse_commuting_equations`.
     """
-    offsets, total = _offsets(r * c for r, c in shapes)
-    add, sub, zero = field.add, field.sub, field.zero()
-    rows = []
+    sparse = []
     for s, t, P, Q in squares:
         (rs, cs), (rt, ct) = shapes[s], shapes[t]
         if (P.rows, P.cols, Q.rows, Q.cols) != (ct, cs, rt, rs):
             raise DimensionMismatch("square does not fit blocks %d and %d" % (s, t))
-        os_, ot = offsets[s], offsets[t]
         p_cols = [[(k, x) for k, x in enumerate(P.col(j)) if x] for j in range(cs)]
-        for i in range(rt):
-            q_row = [(l, x) for l, x in enumerate(Q.row(i)) if x]
-            for j in range(cs):
-                if not (q_row or p_cols[j]):
-                    continue
+        q_rows = [[(l, x) for l, x in enumerate(Q.row(i)) if x] for i in range(rt)]
+        sparse.append((s, t, p_cols, q_rows))
+    return sparse_commuting_equations(field, shapes, sparse)
+
+
+def sparse_commuting_equations(field, shapes, squares):
+    """`commuting_equations` for squares (s, t, p_cols, q_rows) given by
+    their nonzero entries: p_cols[j] lists the (k, x) with P[k][j] = x != 0,
+    for every column j of P, and q_rows[i] the (l, x) with Q[i][l] = x != 0,
+    for every row i of Q."""
+    offsets, total = _offsets(r * c for r, c in shapes)
+    add, sub, zero = field.add, field.sub, field.zero()
+    rows = []
+    for s, t, p_cols, q_rows in squares:
+        cs, ct = shapes[s][1], shapes[t][1]
+        os_, ot = offsets[s], offsets[t]
+        every_col = list(enumerate(p_cols))
+        nonzero_cols = [(j, p_col) for j, p_col in every_col if p_col]
+        for i, q_row in enumerate(q_rows):
+            for j, p_col in every_col if q_row else nonzero_cols:
                 row = [zero] * total
-                for k, x in p_cols[j]:
+                for k, x in p_col:
                     row[ot + i * ct + k] = add(row[ot + i * ct + k], x)
                 for l, x in q_row:
                     row[os_ + l * cs + j] = sub(row[os_ + l * cs + j], x)
                 # the terms meet only at X_s[i][j] of a square with s = t, so
                 # only a row of one term from each side can cancel to zero
-                if s == t and len(q_row) == len(p_cols[j]) == 1 and not any(row):
+                if s == t and len(q_row) == len(p_col) == 1 and not any(row):
                     continue
                 rows.append(row)
     return rows

@@ -91,6 +91,20 @@ def oracle_hom_action(T, morphisms, X):
     return H, mats
 
 
+def densify(F, cols, nH):
+    """The nH x nH matrix of a `hom_action` entry, column j -> [(row, value)].
+    The entry must list only nonzero columns and values, each in increasing
+    order, so that it is as canonical as the matrix."""
+    assert list(cols) == sorted(cols)
+    ents = [F.zero()] * (nH * nH)
+    for j, col in cols.items():
+        assert col and [i for i, _ in col] == sorted({i for i, _ in col})
+        for i, x in col:
+            assert not F.is_zero(x)
+            ents[i * nH + j] = x
+    return Matrix(F, nH, nH, tuple(ents))
+
+
 def oracle_relations(V, actions, nH):
     """Every equation of v s (x) h = v (x) s h, one per entry of each square."""
     F = V.field
@@ -159,10 +173,10 @@ def check_against_oracle(summands, args):
     functors = [(f(data, k), f(want, k)) for k in range(len(summands))
                 for f in (projective_row, simple_module)]
     for X in args:
-        H, mats = data.hom_action(X)
+        H, actions = data.hom_action(X)
         want_H, want_mats = oracle_hom_action(T, morphisms, X)
         assert [h.blocks for h in H] == [h.blocks for h in want_H]
-        assert repr(mats) == repr(want_mats)
+        assert repr([densify(X.field, cols, len(H)) for cols in actions]) == repr(want_mats)
         for V, want_V in functors:
             val = functor_eval(V, X, data)
             assert repr(val.relations) == repr(oracle_relations(want_V, want_mats, len(H)))

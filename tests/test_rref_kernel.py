@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppcat.linalg import Matrix, Subspace, rref_with_pivots
+from ppcat.linalg import Matrix, Subspace, kernel, rref_with_pivots
 from ppcat.scalars import QQ, PrimeField
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
@@ -140,3 +140,48 @@ def test_subspace_pivots_cached_and_outside_equality(case):
     assert s.pivots == tuple(rref_with_pivots(s.basis)[1])
     assert s.pivots is s.pivots
     assert s == fresh and hash(s) == hash(fresh)
+
+
+# -- kernel: one elimination against the two-pass oracle ----------------------
+
+
+def oracle_kernel(m):
+    """The two-pass kernel: free-column vectors of the RREF, then their RREF."""
+    F = m.field
+    red, pivots = rref_with_pivots(m)
+    vecs = []
+    for fcol in (c for c in range(m.cols) if c not in pivots):
+        v = [F.zero()] * m.cols
+        v[fcol] = F.one()
+        for i, p in enumerate(pivots):
+            v[p] = F.neg(red.at(i, fcol))
+        vecs.append(tuple(v))
+    return Subspace.from_vectors(F, m.cols, vecs)
+
+
+def check_kernel(F, rows, ncols):
+    m = Matrix(F, len(rows), ncols, tuple(x for r in rows for x in r))
+    got = kernel(m)
+    assert repr(got) == repr(oracle_kernel(m))
+    for v in got.basis_rows():
+        assert all(F.is_zero(x) for x in m.apply(v))
+
+
+@SETTINGS
+@given(matrices())
+def test_one_pass_kernel_matches_two_pass_oracle(case):
+    check_kernel(*case)
+
+
+@SETTINGS
+@given(low_rank_matrices())
+def test_one_pass_kernel_matches_two_pass_oracle_on_rank_deficient_products(case):
+    check_kernel(*case)
+
+
+@FEW
+@given(st.sampled_from(FIELDS), st.integers(0, 9), st.data())
+def test_one_pass_kernel_on_no_rows_one_row_and_no_columns(F, ncols, data):
+    check_kernel(F, [], ncols)
+    check_kernel(F, [[data.draw(field_elements(F)) for _ in range(ncols)]], ncols)
+    check_kernel(F, [[] for _ in range(ncols + 1)], 0)
