@@ -19,6 +19,11 @@ from .quiver import Arrow, Path, Quiver, QuiverAlgebra, RingElement, make_path
 from .rep import Representation
 from .scalars import QQ, PrimeField
 
+# The largest dimension a module may declare at a vertex.  Every arrow map is
+# a dense matrix, so a larger one could not be built; the parser rejects it
+# before anything is allocated.
+MAX_DIM = 4096
+
 KINDS = ("quiver", "algebra", "module", "rightmodule", "pp", "pair", "interp", "fixture")
 
 KEYWORDS = {
@@ -314,7 +319,10 @@ class Parser:
                 raise SortError("%d:%d: %s is not a vertex of %s"
                                 % (t.line, t.col, v, aname))
             self.expect("=")
+            t = self.peek()
             dims[v] = self.integer()
+            if dims[v] > MAX_DIM:
+                raise ParseError(t.line, t.col, "a dimension of at most %d" % MAX_DIM, t.text)
             self.expect(";")
         maps = {}
         while self.accept("map"):

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain, product as iter_product
 
 from .errors import (
-    AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotSplitEndo, PpcatError,
+    AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotASubspace, NotSplitEndo,
+    PpcatError,
 )
 from .linalg import (
     Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel, rank,
-    row_apply, solve, sparse_commuting_equations, trace_form_radical, trace_gram, vstack,
+    row_apply, solve, sparse_commuting_equations, sparse_span, trace_form_radical, trace_gram,
+    vstack,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
@@ -267,19 +269,66 @@ def _constants_of_table(table, n):
             for j, cell in enumerate(row)}
 
 
+class _Actions:
+    """The action of each basis element of an algebra on a module of
+    dimension `dim`, in two forms, each built from the other once, when it
+    is first read: `sparse`, per basis element a dict from each nonzero row
+    of its matrix to that row's nonzero (column, value) pairs, rows and
+    columns in increasing order; and `dense`, per basis element its
+    dim x dim Matrix.  It holds no module or algebra, so an algebra may keep
+    it in a memo without a reference cycle."""
+
+    __slots__ = ("field", "dim", "_sparse", "_dense")
+
+    def __init__(self, field, dim, sparse=None, dense=None):
+        self.field, self.dim = field, dim
+        self._sparse, self._dense = sparse, dense
+
+    @property
+    def sparse(self):
+        if self._sparse is None:
+            self._sparse = tuple(
+                {i: row for i, row in ((i, tuple((j, x) for j, x in enumerate(m.row(i)) if x))
+                                       for i in range(self.dim)) if row}
+                for m in self._dense)
+        return self._sparse
+
+    @property
+    def dense(self):
+        if self._dense is None:
+            F, d = self.field, self.dim
+            zero = F.zero()
+            out = []
+            for rows in self._sparse:
+                ents = [zero] * (d * d)
+                for i, row in rows.items():
+                    for j, x in row:
+                        ents[i * d + j] = x
+                out.append(Matrix(F, d, d, tuple(ents)))
+            self._dense = tuple(out)
+        return self._dense
+
+
 class FinModule:
-    """A right module over a FiniteAlgebra: row vectors, one action matrix
-    per basis element of the algebra."""
+    """A right module over a FiniteAlgebra: row vectors, one action per basis
+    element of the algebra.
+
+    `action` may be the dense matrices, or an `_Actions` holding the sparse
+    rows; `sparse_action` and `action` read either form, the missing one
+    built on first read and then kept."""
 
     def __init__(self, algebra: FiniteAlgebra, dim, action, check=True):
         self.algebra = algebra
         self.dim = dim
-        self.action = tuple(action)
-        if len(self.action) != algebra.dim:
-            raise DimensionMismatch("one action matrix per algebra basis element")
-        for m in self.action:
-            if m.rows != dim or m.cols != dim:
-                raise DimensionMismatch("action matrix shape mismatch")
+        if not isinstance(action, _Actions):
+            action = tuple(action)
+            if len(action) != algebra.dim:
+                raise DimensionMismatch("one action matrix per algebra basis element")
+            for m in action:
+                if m.rows != dim or m.cols != dim:
+                    raise DimensionMismatch("action matrix shape mismatch")
+            action = _Actions(algebra.field, dim, dense=action)
+        self._actions = action
         if check:
             self._validate()
 
@@ -287,25 +336,41 @@ class FinModule:
     def field(self):
         return self.algebra.field
 
+    @property
+    def action(self):
+        """The dense action matrices, one per basis element of the algebra."""
+        return self._actions.dense
+
+    @property
+    def sparse_action(self):
+        """Per basis element of the algebra, its nonzero action rows: row ->
+        the nonzero (column, value) pairs, both in increasing order."""
+        return self._actions.sparse
+
     def act_vector(self, vec):
         """Action matrix of an algebra element given by coordinates."""
-        F = self.field
-        out = Matrix.zero(F, self.dim, self.dim)
-        for c, m in zip(vec, self.action):
-            if not F.is_zero(c):
-                out = out.add(m.scale(c))
-        return out
+        F, d = self.field, self.dim
+        p = F.char
+        ents = [0 if p else F.zero()] * (d * d)
+        for c, rows in zip(vec, self.sparse_action):
+            if rows and (c % p if p else c):
+                for i, row in rows.items():
+                    base = i * d
+                    for j, x in row:
+                        ents[base + j] += c * x
+        return Matrix(F, d, d, tuple(x % p for x in ents) if p else tuple(ents))
 
     def _validate(self):
         F = self.field
         if self.act_vector(self.algebra.unit_vector()) != Matrix.identity(F, self.dim):
             raise PpcatError("unit does not act as the identity")
         n = self.algebra.dim
+        action = self.action
         for i in range(n):
             for j in range(n):
                 prod = self.algebra.mul(self.algebra.basis_vector(i),
                                         self.algebra.basis_vector(j))
-                if self.act_vector(prod) != self.action[i].mul(self.action[j]):
+                if self.act_vector(prod) != action[i].mul(action[j]):
                     raise PpcatError("action does not respect the structure constants")
 
     def submodule(self, vectors) -> Subspace:
@@ -333,23 +398,44 @@ class FinModule:
         return FinModule(self.algebra, sub.dim, action, check=False)
 
     def quotient(self, sub: Subspace):
+        """V / sub, on the canonical coset basis: the unit vectors of the
+        columns that are not pivots of sub.  Row c of an action matrix is
+        the image of that unit vector, so the quotient's row for it is row c
+        reduced modulo sub and read at those columns."""
         F = self.field
         q = QuotientSpace(Subspace.full(F, self.dim), sub)
+        pivots = set(sub.pivots)
+        free = [c for c in range(self.dim) if c not in pivots]
+        position = {c: t for t, c in enumerate(free)}
         action = []
-        for m in self.action:
-            rows = [q.project_vector(row_apply(q.lift(i), m)) for i in range(q.dim)]
-            action.append(Matrix.from_rows(F, rows) if rows else Matrix(F, 0, 0, ()))
-        return FinModule(self.algebra, q.dim, action, check=False), q
+        for rows in self.sparse_action:
+            out = {}
+            for t, c in enumerate(free):
+                row = rows.get(c)
+                if row:
+                    red = sub.reduce_sparse(row)
+                    if red:
+                        out[t] = tuple(sorted((position[j], x) for j, x in red.items()))
+            action.append(out)
+        return FinModule(self.algebra, q.dim, _Actions(F, q.dim, sparse=tuple(action)),
+                         check=False), q
 
     def radical_subspace(self, alg_radical: Subspace) -> Subspace:
         """V rad(S), the span of the rows of the radical's action; it is a
-        submodule already, rad(S) being a two-sided ideal."""
+        submodule already, rad(S) being a two-sided ideal.  Row i of the
+        action of r = sum_m r_m b_m is summed from the sparse rows i of the
+        b_m, and the span taken sparse."""
+        action = self.sparse_action
         vecs = []
-        for r in alg_radical.basis_rows():
-            m = self.act_vector(r)
-            for i in range(self.dim):
-                vecs.append(m.row(i))
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        for r in alg_radical.nonzero_rows:
+            acc = {}  # row i -> {column: value}
+            for m, c in r:
+                for i, row in action[m].items():
+                    out = acc.setdefault(i, {})
+                    for j, x in row:
+                        out[j] = out.get(j, 0) + c * x
+            vecs.extend(acc.values())
+        return sparse_span(self.field, self.dim, vecs)
 
     def socle(self, alg_radical: Subspace) -> Subspace:
         F = self.field
@@ -420,6 +506,12 @@ class AuslanderData:
     summand_of_idempotent: list  # idempotent index -> summand index
     # (i, k) -> hom_space(M_i, M_k), the canonical basis, for all pairs
     homs: dict = dc_field(repr=False, compare=False)
+    # per summand x, the change of basis between the corner e_x S e_x (e_x,
+    # then the radical rows) and homs[x, x]: row t of corner_to_hom[x] holds
+    # the coordinates of the corner's basis element t over homs[x, x], and
+    # row r of hom_to_corner[x] those of homs[x, x][r] over the corner
+    corner_to_hom: list = dc_field(default_factory=list, repr=False, compare=False)
+    hom_to_corner: list = dc_field(default_factory=list, repr=False, compare=False)
     # memo of hom_action: argument module -> (basis of Hom(T, X), the nonzero
     # columns of each basis element's action)
     _hom_actions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -467,23 +559,56 @@ class AuslanderData:
         H = [h for _, _, _, h in order]
         if not H:
             return H, []
-        coordinate_maps = {}
+        if x_index is None:
+            coordinate_maps = {}
+
+            def product(a, i, k, g, r):  # the coordinates of parts[k][r] o g over parts[i]
+                if i not in coordinate_maps:
+                    coordinate_maps[i] = coordinate_map(parts[i], self.summands[i], X)
+                return enumerate(coordinate_maps[i](parts[k][r].compose(g)))
+        else:
+            product = self._summand_product(x_index, parts)
         actions = []
-        for i, k, g in self.basis_morphisms:
+        for a, (i, k, g) in enumerate(self.basis_morphisms):
             cols = {}
-            if parts[k]:
-                coordinates = coordinate_maps.get(i)
-                if coordinates is None:
-                    coordinates = coordinate_maps[i] = \
-                        coordinate_map(parts[i], self.summands[i], X)
+            for r in range(len(parts[k])):
                 # positions grow with the index within a summand's basis
-                for r, h in enumerate(parts[k]):
-                    col = tuple((position[i, r2], c)
-                                for r2, c in enumerate(coordinates(h.compose(g))) if c)
-                    if col:
-                        cols[position[k, r]] = col
+                col = tuple((position[i, r2], c) for r2, c in product(a, i, k, g, r) if c)
+                if col:
+                    cols[position[k, r]] = col
             actions.append(cols)
         return H, actions
+
+    def _summand_product(self, x, parts):
+        """`product` for X = M_x, read off the structure constants.
+
+        For g in the corner (i, k) and h in Hom(M_k, M_x), h o g is the
+        product b_g b_h in S, in the corner (i, x).  For i != x that corner
+        has the basis parts[i] = homs[i, x]; the corner (x, x) has e_x and
+        the radical rows instead, so b_h is taken there through
+        hom_to_corner[x] and a product read back through corner_to_hom[x]."""
+        S = self.algebra
+        p, one = S.field.char, S.field.one()
+        offsets = {}  # (i, k) -> algebra index of the corner's first basis element
+        for a, (i, k, _) in enumerate(self.basis_morphisms):
+            offsets.setdefault((i, k), a)
+        to_corner, to_hom = self.hom_to_corner[x], self.corner_to_hom[x]
+
+        def product(a, i, k, g, r):
+            if k != x:
+                h = {offsets[k, x] + r: one}
+            else:
+                h = {offsets[x, x] + t: c for t, c in enumerate(to_corner.row(r)) if c}
+            base = offsets.get((i, x))
+            prod = S._sparse_mul({a: one}, h)
+            if i != x:
+                return sorted((m - base, c) for m, c in prod.items())
+            acc = [0] * to_hom.cols
+            for m, c in prod.items():
+                for r2, y in enumerate(to_hom.row(m - base)):
+                    acc[r2] += c * y
+            return enumerate(c % p for c in acc) if p else enumerate(acc)
+        return product
 
 
 def auslander_algebra(indecomposables) -> AuslanderData:
@@ -495,6 +620,8 @@ def auslander_algebra(indecomposables) -> AuslanderData:
     outermost.  A product of a in Hom(M_i, M_j) and b in Hom(M_j, M_k) is
     b o a, composed on the summands, with coordinates read over the corner
     (i, k); products of basis elements whose corners do not meet are zero.
+    Per summand, the change of basis between its corner and its `hom_space`
+    basis is kept, for `hom_action` of a summand.
     """
     summands = list(indecomposables)
     if not summands:
@@ -556,21 +683,35 @@ def auslander_algebra(indecomposables) -> AuslanderData:
         z[pos] = F.one()
         idempotents.append(tuple(z))
     algebra = FiniteAlgebra(F, labels, constants, idempotents)
-    return AuslanderData(algebra, summands, T, basis_morphisms, list(range(n)), homs)
+    corner_to_hom, hom_to_corner = [], []
+    for x, M in enumerate(summands):
+        basis, rad = ends[x]
+        # the hom_space basis is in RREF over the block entries, so the
+        # coordinates of the identity are its entries at the basis pivots
+        identity = corners[x, x][0].blocks
+        pivots = [next((v, e) for v, b in h.blocks.items() for e, y in enumerate(b.entries) if y)
+                  for h in basis]
+        rows = [tuple(identity[v].entries[e] for v, e in pivots)] + rad.basis_rows()
+        corner_to_hom.append(Matrix.from_rows(F, rows))
+        coordinates = coordinate_maps.get((x, x)) or coordinate_map(corners[x, x], M, M)
+        hom_to_corner.append(Matrix.from_rows(F, [coordinates(h) for h in basis]))
+    return AuslanderData(algebra, summands, T, basis_morphisms, list(range(n)), homs,
+                         corner_to_hom, hom_to_corner)
 
 
 def projective_row(data_or_algebra, k) -> FinModule:
-    """The right ideal e_k S as a module, built once per algebra."""
+    """The right ideal e_k S as a module, built once per algebra (its dense
+    `action`, when read, is built once too)."""
     S = data_or_algebra.algebra if isinstance(data_or_algebra, AuslanderData) \
         else data_or_algebra
     memo = S._projective_rows.get(k)
     if memo is None:
         memo = S._projective_rows[k] = _right_ideal_action(S, k)
-    return FinModule(S, *memo, check=False)
+    return FinModule(S, memo.dim, memo, check=False)
 
 
-def _right_ideal_action(S: FiniteAlgebra, k):
-    """(dim, action) of e_k S, from the structure constants.
+def _right_ideal_action(S: FiniteAlgebra, k) -> _Actions:
+    """The sparse action on e_k S, from the structure constants.
 
     e_k S is a right ideal, so the span of the e_k b_j is closed under the
     action.  The action matrix of b_m has as row r the coordinates of
@@ -582,17 +723,19 @@ def _right_ideal_action(S: FiniteAlgebra, k):
     def right_support(v):  # the m with b_i b_m nonzero for some i in v
         return {m for i in v for m in S._rows[i]}
     ek = S._sparse(S.idempotents[k])
-    vecs = [S._dense(v) for v in (S._sparse_mul(ek, {j: one}) for j in right_support(ek)) if v]
-    sub = Subspace.from_vectors(F, n, vecs)
-    zero_row = (F.zero(),) * sub.dim
-    rows = [[] for _ in range(n)]  # m -> the rows of the action matrix of b_m
-    for row in sub.basis_rows():
-        r = S._sparse(row)
-        support = right_support(r)
-        for m, out in enumerate(rows):
-            prod = S._sparse_mul(r, {m: one}) if m in support else None
-            out.append(sub.coordinates(S._dense(prod)) if prod else zero_row)
-    return sub.dim, tuple(Matrix.from_rows(F, out) for out in rows)
+    vecs = [v for v in (S._sparse_mul(ek, {j: one}) for j in right_support(ek)) if v]
+    sub = sparse_span(F, n, vecs)
+    action = [{} for _ in range(n)]  # m -> the nonzero rows of the action matrix of b_m
+    for r, row in enumerate(sub.nonzero_rows):
+        row = dict(row)
+        for m in right_support(row):
+            prod = S._sparse_mul(row, {m: one})
+            if prod:
+                if sub.reduce_sparse(prod):
+                    raise NotASubspace("vector not in subspace")
+                action[m][r] = tuple((t, c) for t, c in enumerate(prod.get(pc, 0)
+                                                                for pc in sub.pivots) if c)
+    return _Actions(F, sub.dim, sparse=tuple(action))
 
 
 def simple_module(data_or_algebra, k) -> FinModule:
@@ -637,11 +780,11 @@ def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
     # the relations v s (x) h - v (x) s h, written as the commuting squares
     # of one nV x nH block: P the action of s on H, Q that on V
     squares = []
-    for Av, cols in zip(V.action, actions):
-        if cols or any(Av.entries):
-            q_rows = [[(l, x) for l, x in enumerate(Av.row(i)) if x] for i in range(nV)]
+    for rows, cols in zip(V.sparse_action, actions):
+        if cols or rows:
+            q_rows = [rows.get(i, ()) for i in range(nV)]
             squares.append((0, 0, [cols.get(j, ()) for j in range(nH)], q_rows))
-    rel = Subspace.from_vectors(F, ambient, sparse_commuting_equations(F, [(nV, nH)], squares))
+    rel = sparse_span(F, ambient, sparse_commuting_equations(F, [(nV, nH)], squares))
     return FunctorValue(ambient - rel.dim, ambient, rel)
 
 

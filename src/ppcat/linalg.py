@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
@@ -388,33 +389,48 @@ class Subspace:
     def basis_rows(self):
         return [self.basis.row(i) for i in range(self.dim)]
 
+    @cached_property
+    def nonzero_rows(self):
+        """Each basis row as its nonzero (column, value) pairs, computed once
+        (not part of equality)."""
+        return tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in self.basis_rows())
+
     def reduce_vector(self, vec):
         """Subtract the projection onto this subspace along its pivot columns.
 
-        One loop per field.  Over F_p the rows are subtracted on their nonzero
-        entries in plain ints, reduced once at the end; each coefficient is
-        read off the input, since the other rows are zero in a row's pivot
-        column.  Over Q each row is subtracted in turn with the `Fraction`
-        operators.  A vector that nothing is subtracted from comes back as it
-        was given."""
-        p, basis = self.field.char, self.basis
-        if p:
-            v = None
-            for i, pc in enumerate(self.pivots):
-                c = vec[pc] % p
-                if c:
-                    if v is None:
-                        v = list(vec)
-                    for j, y in enumerate(basis.row(i)):
-                        if y:
-                            v[j] -= c * y
-            return tuple(vec) if v is None else tuple(x % p for x in v)
-        v = list(vec)
-        for i, pc in enumerate(self.pivots):
-            c = v[pc]
-            if c != 0:
-                v = [x - c * y for x, y in zip(v, basis.row(i))]
-        return tuple(v)
+        One loop per field, each row subtracted on its nonzero entries only;
+        each coefficient is read off the input, since the other rows are zero
+        in a row's pivot column.  Over F_p the arithmetic is on plain ints,
+        reduced once at the end.  Over Q it uses the `Fraction` operators, and
+        once anything is subtracted every entry is a `Fraction`, as if the
+        whole row had been subtracted.  A vector that nothing is subtracted
+        from comes back as it was given."""
+        p = self.field.char
+        v = None
+        for pc, row in zip(self.pivots, self.nonzero_rows):
+            c = vec[pc] % p if p else vec[pc]
+            if c:
+                if v is None:
+                    v = list(vec) if p else [x if type(x) is Fraction else Fraction(x)
+                                             for x in vec]
+                for j, y in row:
+                    v[j] -= c * y
+        if v is None:
+            return tuple(vec)
+        return tuple(x % p for x in v) if p else tuple(v)
+
+    def reduce_sparse(self, vec):
+        """`reduce_vector` for a vector given by its nonzero (column, value)
+        pairs, as a dict or a sequence; the result is a dict of the nonzero
+        entries.  Each row is subtracted on its nonzero entries, which are
+        zero in every other pivot column."""
+        p = self.field.char
+        v = dict(vec)
+        for pc, row in zip(self.pivots, self.nonzero_rows):
+            c = v.get(pc)
+            if c:
+                _subtract(v, c, row, p)
+        return v
 
     def contains_vector(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
@@ -452,18 +468,30 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
-    """Whether a contains b."""
+    """Whether a contains b.  The pivots of a subspace are the leading
+    columns of its vectors, so b can lie in a only if b's pivots are a's."""
     _check_ambient(a, b)
+    if not set(b.pivots) <= set(a.pivots):
+        return False
     return all(a.contains_vector(r) for r in b.basis_rows())
 
 
 def project(s: Subspace, coords) -> Subspace:
+    """The image of s under the projection onto the coordinates `coords`.
+
+    Onto a prefix range(k) no elimination runs: the basis rows with pivot
+    below k, cut to k entries, are already the canonical RREF basis of the
+    image (the other rows are zero there)."""
     coords = list(coords)
     for c in coords:
         if not 0 <= c < s.ambient_dim:
             raise DimensionMismatch("coordinate %d out of range" % c)
+    k = len(coords)
+    if coords == list(range(k)):
+        rows = [r[:k] for r, pc in zip(s.basis_rows(), s.pivots) if pc < k]
+        return Subspace(k, Matrix(s.field, len(rows), k, tuple(chain.from_iterable(rows))))
     vecs = [tuple(r[c] for c in coords) for r in s.basis_rows()]
-    return Subspace.from_vectors(s.field, len(coords), vecs)
+    return Subspace.from_vectors(s.field, k, vecs)
 
 
 def quotient_dim(a: Subspace, b: Subspace) -> int:
@@ -508,14 +536,15 @@ def kernel(m: Matrix) -> Subspace:
 
 def commuting_equations(field, shapes, squares):
     """The rows of the linear system X_t P = Q X_s, one square (s, t, P, Q)
-    after another.
+    after another, as dense lists.
 
     The unknowns are the entries of the blocks X_k, of shape shapes[k], each
     block row-major and the blocks in order; each square contributes one
     equation per entry (i, j) of X_t P - Q X_s, in row-major order, except
     the equations that are identically zero: those where row i of Q and
     column j of P are both zero, and those whose two terms cancel.  The
-    rows come from `sparse_commuting_equations`.
+    rows come from `sparse_commuting_equations`, densified: hom systems
+    fill in under elimination, so they go to the dense kernels.
     """
     sparse = []
     for s, t, P, Q in squares:
@@ -525,35 +554,108 @@ def commuting_equations(field, shapes, squares):
         p_cols = [[(k, x) for k, x in enumerate(P.col(j)) if x] for j in range(cs)]
         q_rows = [[(l, x) for l, x in enumerate(Q.row(i)) if x] for i in range(rt)]
         sparse.append((s, t, p_cols, q_rows))
-    return sparse_commuting_equations(field, shapes, sparse)
+    _, total = _offsets(r * c for r, c in shapes)
+    zero = field.zero()
+    rows = []
+    for eq in sparse_commuting_equations(field, shapes, sparse):
+        row = [zero] * total
+        for j, x in eq.items():
+            row[j] = x
+        rows.append(row)
+    return rows
 
 
 def sparse_commuting_equations(field, shapes, squares):
     """`commuting_equations` for squares (s, t, p_cols, q_rows) given by
     their nonzero entries: p_cols[j] lists the (k, x) with P[k][j] = x != 0,
     for every column j of P, and q_rows[i] the (l, x) with Q[i][l] = x != 0,
-    for every row i of Q."""
-    offsets, total = _offsets(r * c for r, c in shapes)
+    for every row i of Q.  Yields each equation as a dict from column to its
+    nonzero value, a field element made by the field's own `add` and `sub`,
+    in the order of the rows of `commuting_equations`."""
+    offsets, _ = _offsets(r * c for r, c in shapes)
     add, sub, zero = field.add, field.sub, field.zero()
-    rows = []
     for s, t, p_cols, q_rows in squares:
         cs, ct = shapes[s][1], shapes[t][1]
         os_, ot = offsets[s], offsets[t]
         every_col = list(enumerate(p_cols))
         nonzero_cols = [(j, p_col) for j, p_col in every_col if p_col]
         for i, q_row in enumerate(q_rows):
+            base = ot + i * ct
             for j, p_col in every_col if q_row else nonzero_cols:
-                row = [zero] * total
-                for k, x in p_col:
-                    row[ot + i * ct + k] = add(row[ot + i * ct + k], x)
+                row = {base + k: add(zero, x) for k, x in p_col}
+                # the terms meet only at X_s[i][j] of a square with s = t
                 for l, x in q_row:
-                    row[os_ + l * cs + j] = sub(row[os_ + l * cs + j], x)
-                # the terms meet only at X_s[i][j] of a square with s = t, so
-                # only a row of one term from each side can cancel to zero
-                if s == t and len(q_row) == len(p_col) == 1 and not any(row):
-                    continue
-                rows.append(row)
-    return rows
+                    col = os_ + l * cs + j
+                    y = sub(row.get(col, zero), x)
+                    if y:
+                        row[col] = y
+                    else:
+                        row.pop(col, None)
+                if row:
+                    yield row
+
+
+def sparse_span(field, ncols, rows):
+    """The span of rows given as {column: value}, identical to
+    `Subspace.from_vectors` of the densified rows (entries `Fraction`s over
+    Q, reduced ints over F_p), with only nonzero entries touched.
+
+    Forward elimination keeps one row per pivot column, scaled to 1 there
+    and zero to its left: an incoming row is reduced by the pivot rows of
+    its pivot columns in increasing order (a pivot row adds entries only to
+    the right of its pivot, so a heap of the columns still to clear
+    suffices), and what is left takes its first column as a new pivot.
+    Back-substitution then clears the pivot columns from each row, the
+    highest pivot first, so that the rows it subtracts are already reduced.
+    """
+    p = field.char
+    one = 1 if p else Fraction(1)
+    echelon = {}  # pivot column -> the row's other nonzero entries, {column: value}
+    for vec in rows:
+        row = {j: x % p for j, x in vec.items() if x % p} if p else \
+            {j: x for j, x in vec.items() if x}
+        todo = [j for j in row if j in echelon]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = row.pop(c, 0)
+            if f:
+                _subtract(row, f, echelon[c].items(), p)
+                for j in echelon[c]:
+                    if j in echelon:
+                        heappush(todo, j)
+        if row:
+            c = min(row)
+            inv = pow(row.pop(c), p - 2, p) if p else one / row.pop(c)
+            echelon[c] = {j: x * inv % p for j, x in row.items()} if p else \
+                {j: x * inv for j, x in row.items()}
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        row = echelon[c]
+        for j in [j for j in row if j in echelon]:
+            _subtract(row, row.pop(j), echelon[j].items(), p)
+    zero = field.zero()
+    ents = []
+    for c in pivots:
+        out = [zero] * ncols
+        out[c] = one
+        for j, x in echelon[c].items():
+            out[j] = x
+        ents.extend(out)
+    return Subspace(ncols, Matrix(field, len(pivots), ncols, tuple(ents)))
+
+
+def _subtract(row, f, pairs, p):
+    """row -= f * (the vector of the (column, value) pairs), in place, for a
+    row held as {column: nonzero value}; entries that cancel are dropped."""
+    for j, y in pairs:
+        x = row.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
 
 
 def commuting_solutions(field, shapes, squares):

@@ -311,3 +311,22 @@ def test_module_form_runs_the_cli():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "eval" and doc["dim"] == "1"
+
+
+@pytest.mark.parametrize("dim", ["99999999999", "4097"])
+def test_exit_code_2_on_dimension_above_the_cap(tmp_path, monkeypatch, dim):
+    from ppcat import dsl
+    from ppcat.linalg import Matrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was allocated before the dimension was checked")
+    monkeypatch.setattr(Matrix, "zero", refuse)
+    assert int(dim) > dsl.MAX_DIM == 4096
+    f = tmp_path / "big.ppc"
+    # with a loop at the vertex, the zero map of that size overflowed
+    f.write_text("field Q;\nquiver L { vertices 1; arrow t: 1 -> 1; }\n"
+                 "algebra K { quiver L; }\nmodule M over K { dim 1 = %s; }\n" % dim)
+    code, doc, _ = invoke(["eval", "--file", str(f), "--formula", "x", "--module", "M"])
+    assert code == 2
+    assert doc["error_kind"] == "ParseError"
+    assert doc["error"] == "4:27: expected a dimension of at most 4096, found '%s'" % dim

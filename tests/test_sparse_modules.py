@@ -1,0 +1,295 @@
+"""Sparse module data in the census against the dense routes it replaced.
+
+- `linalg.sparse_span` of rows given as {column: value} against
+  `Subspace.from_vectors` of the densified rows, by `repr`.
+- The Hom(T, M_x) actions of a summand M_x, read off the structure
+  constants, against the compose-and-solve route that every other argument
+  takes, by `repr` of the densified actions.
+- The census with the dense `FinModule.action` view refused.
+- `FinModule.quotient` and `act_vector` on the sparse rows against the
+  dense formulas they replaced.
+- The shortcuts of `project` onto a prefix and of `contains` against the
+  plain elimination and membership tests.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppcat.errors import NotASubspace
+from ppcat.funcat import (
+    FiniteAlgebra, _Actions, auslander_algebra, functor_eval, projective_row,
+    quiver_algebra_to_finite, simple_module,
+)
+from ppcat.linalg import (
+    Matrix, QuotientSpace, Subspace, contains, project, row_apply, sparse_span,
+)
+from ppcat.rep import Representation
+from ppcat.scalars import QQ, PrimeField
+
+from fixtures import a3_algebra, dual_numbers_algebra, rep
+from test_auslander_corners import densify, interval_modules, interval_subsets, keps_inputs
+
+F32003 = PrimeField(32003)
+FIELDS = [QQ, PrimeField(2), PrimeField(3), F32003]
+SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def values(F):
+    """Entries as callers hand them in: over Q `Fraction`s and ints, over
+    F_p ints outside 0..p-1 too; zero is drawn often."""
+    if F is QQ:
+        return st.one_of(st.just(0), st.integers(-4, 4),
+                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    return st.one_of(st.just(0), st.integers(-2 * F.p, 2 * F.p))
+
+
+def dense(F, n, row):
+    out = [F.zero()] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+# -- the sparse span ------------------------------------------------------------
+
+
+@st.composite
+def sparse_rows(draw):
+    """(field, ncols, rows): rows with explicit zeros, empty rows, duplicate
+    rows, and pairs of rows whose sum cancels, over 0 to 8 columns."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cols = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)) if n else []
+        row = {j: draw(values(F)) for j in cols}
+        rows.append(row)
+        if row and draw(st.booleans()):
+            rows.append(dict(row))
+        if row and draw(st.booleans()):
+            rows.append({j: F.neg(x) for j, x in row.items()})
+        if len(rows) > 1 and draw(st.booleans()):
+            # a combination of two earlier rows, which the span must absorb
+            a, b = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+            c = draw(values(F))
+            comb = {j: F.add(a.get(j, F.zero()), F.mul(c, b.get(j, F.zero())))
+                    for j in set(a) | set(b)}
+            rows.append(comb)
+    order = draw(st.permutations(range(len(rows))))
+    return F, n, [rows[k] for k in order]
+
+
+@SETTINGS
+@given(sparse_rows())
+def test_sparse_span_is_the_dense_span(case):
+    F, n, rows = case
+    want = Subspace.from_vectors(F, n, [dense(F, n, row) for row in rows])
+    got = sparse_span(F, n, rows)
+    assert repr(got) == repr(want)
+    assert got.pivots == want.pivots
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_sparse_span_needs_back_substitution(F):
+    # echelon rows (1, 1, 0) and (0, 1, 1): the RREF clears column 1 of the first
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    got = sparse_span(F, 3, rows)
+    assert repr(got) == repr(Subspace.from_vectors(F, 3, [dense(F, 3, r) for r in rows]))
+    assert got.basis.row(0)[1] == 0
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_sparse_span_of_nothing(F):
+    for n in (0, 3):
+        for rows in ([], [{}], [{0: 0}] if n else [{}, {}]):
+            assert repr(sparse_span(F, n, rows)) == repr(Subspace.from_vectors(F, n, [
+                dense(F, n, r) for r in rows]))
+
+
+# -- the summand route of hom_action -------------------------------------------
+
+
+def general_route(data, X):
+    """hom_action of X by composing and solving: a copy of X that is equal
+    but not one of the summands takes that route."""
+    copy = Representation(X.algebra, dict(X.dims), dict(X.maps), check=False)
+    return data._build_hom_action(copy)
+
+
+def check_summand_route(summands):
+    data = auslander_algebra(summands)
+    for X in summands:
+        H, actions = data.hom_action(X)
+        want_H, want = general_route(data, X)
+        assert [h.blocks for h in H] == [h.blocks for h in want_H]
+        nH = len(H)
+        assert repr([densify(X.field, cols, nH) for cols in actions]) == \
+            repr([densify(X.field, cols, nH) for cols in want])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(interval_subsets())
+def test_summand_actions_match_the_general_route(inputs):
+    check_summand_route(inputs[0])
+
+
+# square-zero matrices: t on the regular module of the dual numbers in other
+# bases.  With a nonzero first entry, the `hom_space` basis of End(R) is not
+# e and a radical row, so the corner (R, R) needs both changes of basis.
+SQUARE_ZERO = [[[0, 1], [0, 0]], [[1, 1], [-1, -1]], [[2, -4], [1, -2]], [[-3, 9], [-1, 3]]]
+
+
+def keps_summands(F, t):
+    alg = dual_numbers_algebra(F)
+    return [rep(alg, {"v": 2}, {"t": t}), rep(alg, {"v": 1}, {})]
+
+
+@pytest.mark.parametrize("F", [QQ, F32003], ids=str)
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("t", SQUARE_ZERO, ids=str)
+def test_summand_actions_with_a_radical_corner(F, order, t):
+    summands = keps_summands(F, t)
+    check_summand_route([summands[k] for k in order])
+
+
+@pytest.mark.parametrize("t", SQUARE_ZERO, ids=str)
+def test_change_of_basis_matrices_are_inverse(t):
+    for F in (QQ, F32003):
+        data = auslander_algebra(keps_summands(F, t))
+        for to_hom, to_corner in zip(data.corner_to_hom, data.hom_to_corner):
+            n = to_hom.rows
+            assert (to_hom.rows, to_hom.cols) == (to_corner.rows, to_corner.cols)
+            ident = to_hom.mul(to_corner)
+            assert ident.entries == tuple(int(i == j) for i in range(n) for j in range(n))
+        # the regular module's corner changes basis unless t is upper triangular
+        assert (data.corner_to_hom[0].entries == (1, 0, 0, 1)) == (t[0][0] == 0)
+
+
+# -- the census never builds the dense view ------------------------------------
+
+
+def census(inputs):
+    """The projective rows, and the dimension of every row and simple top
+    evaluated on every input."""
+    data = auslander_algebra(inputs)
+    data.algebra.radical()
+    rows = [projective_row(data, k) for k in range(len(inputs))]
+    tops = [simple_module(data, k) for k in range(len(inputs))]
+    return rows, [functor_eval(V, X, data).dim for V in rows + tops for X in inputs]
+
+
+@pytest.mark.parametrize("F", [QQ, F32003], ids=str)
+def test_census_never_builds_the_dense_action(F, monkeypatch):
+    cases = [interval_modules(F, 4)[::2], keps_inputs(F)[0], keps_summands(F, SQUARE_ZERO[1])]
+    want = [census(inputs)[1] for inputs in cases]
+
+    def refuse(self):
+        raise AssertionError("the census built a dense action view")
+    monkeypatch.setattr(_Actions, "dense", property(refuse))
+    for inputs, dims in zip(cases, want):
+        rows, got = census(inputs)
+        assert got == dims
+        with pytest.raises(AssertionError, match="dense action view"):
+            rows[0].action
+
+
+# -- quotients and act_vector on the sparse rows -------------------------------
+
+
+def dense_quotient(V, sub):
+    """The quotient as `FinModule.quotient` built it from the dense matrices."""
+    F = V.field
+    q = QuotientSpace(Subspace.full(F, V.dim), sub)
+    return tuple(Matrix.from_rows(F, [q.project_vector(row_apply(q.lift(i), m))
+                                      for i in range(q.dim)]) if q.dim else Matrix(F, 0, 0, ())
+                 for m in V.action)
+
+
+def dense_act_vector(V, vec):
+    F = V.field
+    out = Matrix.zero(F, V.dim, V.dim)
+    for c, m in zip(vec, V.action):
+        if not F.is_zero(c):
+            out = out.add(m.scale(c))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, F32003]), st.sampled_from(["a3", "keps"]), st.data())
+def test_quotients_and_actions_match_the_dense_route(F, kind, data):
+    S = quiver_algebra_to_finite(a3_algebra(F)) if kind == "a3" else \
+        auslander_algebra(keps_summands(F, SQUARE_ZERO[2])).algebra
+    coeff = st.integers(-3, 3).map(F.from_int)
+    reg = S.regular_module()
+    V = projective_row(S, data.draw(st.integers(0, len(S.idempotents) - 1))) \
+        if data.draw(st.booleans()) else reg
+    vecs = data.draw(st.lists(st.lists(coeff, min_size=V.dim, max_size=V.dim), max_size=3))
+    # the formula is defined for any subspace, and one that is not a
+    # submodule rarely lies along the coordinates
+    sub = V.submodule(vecs) if data.draw(st.booleans()) else \
+        Subspace.from_vectors(F, V.dim, vecs)
+    quo, q = V.quotient(sub)
+    assert (quo.dim, q.dim) == (V.dim - sub.dim, V.dim - sub.dim)
+    assert repr(quo.action) == repr(dense_quotient(V, sub))
+    for W in (V, quo):
+        vec = data.draw(st.lists(coeff, min_size=S.dim, max_size=S.dim))
+        assert repr(W.act_vector(vec)) == repr(dense_act_vector(W, vec))
+
+
+def test_projective_row_checks_closure_under_the_action():
+    # unvalidated constants with e0 x1 = x1 but x1 x1 = x2 outside e0 S
+    S = FiniteAlgebra(QQ, ["x0", "x1", "x2"], {(0, 0): [(0, 1)], (0, 1): [(1, 1)],
+                                               (1, 1): [(2, 1)]}, [(1, 0, 0)], validate=False)
+    with pytest.raises(NotASubspace):
+        projective_row(S, 0)
+
+
+# -- project onto a prefix, and contains ---------------------------------------
+
+
+@st.composite
+def subspace_pairs(draw):
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 6))
+    elems = values(F) if F is QQ else st.integers(0, F.p - 1)
+
+    def space():
+        vecs = [draw(st.lists(elems, min_size=n, max_size=n))
+                for _ in range(draw(st.integers(0, 4)))]
+        return Subspace.from_vectors(F, n, vecs)
+    a = space()
+    # b inside a about half the time: a span of combinations of a's rows
+    if draw(st.booleans()):
+        rows = a.basis_rows()
+        combos = []
+        for _ in range(draw(st.integers(0, 3))):
+            coeffs = [draw(elems) for _ in rows]
+            v = [F.zero()] * n
+            for c, r in zip(coeffs, rows):
+                v = [F.add(x, F.mul(c, y)) for x, y in zip(v, r)]
+            combos.append(v)
+        b = Subspace.from_vectors(F, n, combos)
+    else:
+        b = space()
+    return F, n, a, b, draw(st.integers(0, n))
+
+
+@SETTINGS
+@given(subspace_pairs())
+def test_prefix_projection_matches_elimination(case):
+    F, n, a, _, k = case
+    want = Subspace.from_vectors(F, k, [r[:k] for r in a.basis_rows()])
+    assert repr(project(a, range(k))) == repr(want)
+    assert repr(project(a, list(range(k)))) == repr(want)
+
+
+@SETTINGS
+@given(subspace_pairs())
+def test_contains_matches_membership(case):
+    _, _, a, b, _ = case
+    want = all(a.contains_vector(r) for r in b.basis_rows())
+    assert contains(a, b) == want
+    assert contains(a, a) and contains(b, b)
