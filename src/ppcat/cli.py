@@ -415,8 +415,12 @@ def cmd_funcat_auslander(args, ws, seed):
 
 
 def _functor_by_spec(data, spec):
+    bad_spec = UnresolvedReference("functor spec must be row:<k> or simple:<k>")
     kind, _, idx = spec.partition(":")
-    k = int(idx)
+    try:
+        k = int(idx)
+    except ValueError:
+        raise bad_spec from None
     n = len(data.algebra.idempotents)
     if not 0 <= k < n:
         raise UnresolvedReference("functor index %d out of range 0..%d" % (k, n - 1))
@@ -424,7 +428,7 @@ def _functor_by_spec(data, spec):
         return fc.projective_row(data, k)
     if kind == "simple":
         return fc.simple_module(data, k)
-    raise UnresolvedReference("functor spec must be row:<k> or simple:<k>")
+    raise bad_spec
 
 
 def cmd_funcat_eval(args, ws, seed):

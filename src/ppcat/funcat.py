@@ -20,7 +20,7 @@ from .errors import (
     PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel, rank,
+    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel,
     row_apply, solve, sparse_commuting_equations, sparse_span, trace_form_radical, trace_gram,
     vstack,
 )
@@ -420,21 +420,32 @@ class FinModule:
         return FinModule(self.algebra, q.dim, _Actions(F, q.dim, sparse=tuple(action)),
                          check=False), q
 
+    def _sparse_rows(self, terms):
+        """The rows of the action of r = sum_m r_m b_m, given as its (m, r_m)
+        terms, each summed from the sparse rows of the b_m: a list of
+        {column: value}, one per row that some b_m touches."""
+        action = self._actions.sparse
+        acc = {}  # row i -> {column: value}
+        for m, c in terms:
+            for i, row in action[m].items():
+                out = acc.setdefault(i, {})
+                for j, x in row:
+                    out[j] = out.get(j, 0) + c * x
+        return list(acc.values())
+
+    def sort_dim(self, k):
+        """dim V e_k, the rank of the action of the k-th idempotent, taken
+        sparse."""
+        e = self.algebra.idempotents[k]
+        rows = self._sparse_rows((m, c) for m, c in enumerate(e) if c)
+        return sparse_span(self.field, self.dim, rows).dim
+
     def radical_subspace(self, alg_radical: Subspace) -> Subspace:
         """V rad(S), the span of the rows of the radical's action; it is a
-        submodule already, rad(S) being a two-sided ideal.  Row i of the
-        action of r = sum_m r_m b_m is summed from the sparse rows i of the
-        b_m, and the span taken sparse."""
-        action = self.sparse_action
+        submodule already, rad(S) being a two-sided ideal."""
         vecs = []
         for r in alg_radical.nonzero_rows:
-            acc = {}  # row i -> {column: value}
-            for m, c in r:
-                for i, row in action[m].items():
-                    out = acc.setdefault(i, {})
-                    for j, x in row:
-                        out[j] = out.get(j, 0) + c * x
-            vecs.extend(acc.values())
+            vecs.extend(self._sparse_rows(r))
         return sparse_span(self.field, self.dim, vecs)
 
     def socle(self, alg_radical: Subspace) -> Subspace:
@@ -481,8 +492,8 @@ def fin_are_isomorphic(X: FinModule, Y: FinModule, seed=0):
         return False, True
     if X.dim == 0:
         return True, True
-    for ex, ey in zip(X.algebra.idempotents, Y.algebra.idempotents):
-        if rank(X.act_vector(ex)) != rank(Y.act_vector(ey)):
+    for k in range(min(len(X.algebra.idempotents), len(Y.algebra.idempotents))):
+        if X.sort_dim(k) != Y.sort_dim(k):
             return False, True
     basis = fin_hom(X, Y)
     if not basis or len(basis) != len(fin_hom(Y, X)) \
@@ -506,12 +517,6 @@ class AuslanderData:
     summand_of_idempotent: list  # idempotent index -> summand index
     # (i, k) -> hom_space(M_i, M_k), the canonical basis, for all pairs
     homs: dict = dc_field(repr=False, compare=False)
-    # per summand x, the change of basis between the corner e_x S e_x (e_x,
-    # then the radical rows) and homs[x, x]: row t of corner_to_hom[x] holds
-    # the coordinates of the corner's basis element t over homs[x, x], and
-    # row r of hom_to_corner[x] those of homs[x, x][r] over the corner
-    corner_to_hom: list = dc_field(default_factory=list, repr=False, compare=False)
-    hom_to_corner: list = dc_field(default_factory=list, repr=False, compare=False)
     # memo of hom_action: argument module -> (basis of Hom(T, X), the nonzero
     # columns of each basis element's action)
     _hom_actions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -559,56 +564,20 @@ class AuslanderData:
         H = [h for _, _, _, h in order]
         if not H:
             return H, []
-        if x_index is None:
-            coordinate_maps = {}
-
-            def product(a, i, k, g, r):  # the coordinates of parts[k][r] o g over parts[i]
+        coordinate_maps = {}  # i -> the coordinates over parts[i]
+        actions = []
+        for i, k, g in self.basis_morphisms:
+            cols = {}
+            for r, h in enumerate(parts[k]):
                 if i not in coordinate_maps:
                     coordinate_maps[i] = coordinate_map(parts[i], self.summands[i], X)
-                return enumerate(coordinate_maps[i](parts[k][r].compose(g)))
-        else:
-            product = self._summand_product(x_index, parts)
-        actions = []
-        for a, (i, k, g) in enumerate(self.basis_morphisms):
-            cols = {}
-            for r in range(len(parts[k])):
                 # positions grow with the index within a summand's basis
-                col = tuple((position[i, r2], c) for r2, c in product(a, i, k, g, r) if c)
+                col = tuple((position[i, r2], c)
+                            for r2, c in enumerate(coordinate_maps[i](h.compose(g))) if c)
                 if col:
                     cols[position[k, r]] = col
             actions.append(cols)
         return H, actions
-
-    def _summand_product(self, x, parts):
-        """`product` for X = M_x, read off the structure constants.
-
-        For g in the corner (i, k) and h in Hom(M_k, M_x), h o g is the
-        product b_g b_h in S, in the corner (i, x).  For i != x that corner
-        has the basis parts[i] = homs[i, x]; the corner (x, x) has e_x and
-        the radical rows instead, so b_h is taken there through
-        hom_to_corner[x] and a product read back through corner_to_hom[x]."""
-        S = self.algebra
-        p, one = S.field.char, S.field.one()
-        offsets = {}  # (i, k) -> algebra index of the corner's first basis element
-        for a, (i, k, _) in enumerate(self.basis_morphisms):
-            offsets.setdefault((i, k), a)
-        to_corner, to_hom = self.hom_to_corner[x], self.corner_to_hom[x]
-
-        def product(a, i, k, g, r):
-            if k != x:
-                h = {offsets[k, x] + r: one}
-            else:
-                h = {offsets[x, x] + t: c for t, c in enumerate(to_corner.row(r)) if c}
-            base = offsets.get((i, x))
-            prod = S._sparse_mul({a: one}, h)
-            if i != x:
-                return sorted((m - base, c) for m, c in prod.items())
-            acc = [0] * to_hom.cols
-            for m, c in prod.items():
-                for r2, y in enumerate(to_hom.row(m - base)):
-                    acc[r2] += c * y
-            return enumerate(c % p for c in acc) if p else enumerate(acc)
-        return product
 
 
 def auslander_algebra(indecomposables) -> AuslanderData:
@@ -620,8 +589,7 @@ def auslander_algebra(indecomposables) -> AuslanderData:
     outermost.  A product of a in Hom(M_i, M_j) and b in Hom(M_j, M_k) is
     b o a, composed on the summands, with coordinates read over the corner
     (i, k); products of basis elements whose corners do not meet are zero.
-    Per summand, the change of basis between its corner and its `hom_space`
-    basis is kept, for `hom_action` of a summand.
+    The `hom_space` bases of all pairs, End(M) included, are kept in `homs`.
     """
     summands = list(indecomposables)
     if not summands:
@@ -683,20 +651,7 @@ def auslander_algebra(indecomposables) -> AuslanderData:
         z[pos] = F.one()
         idempotents.append(tuple(z))
     algebra = FiniteAlgebra(F, labels, constants, idempotents)
-    corner_to_hom, hom_to_corner = [], []
-    for x, M in enumerate(summands):
-        basis, rad = ends[x]
-        # the hom_space basis is in RREF over the block entries, so the
-        # coordinates of the identity are its entries at the basis pivots
-        identity = corners[x, x][0].blocks
-        pivots = [next((v, e) for v, b in h.blocks.items() for e, y in enumerate(b.entries) if y)
-                  for h in basis]
-        rows = [tuple(identity[v].entries[e] for v, e in pivots)] + rad.basis_rows()
-        corner_to_hom.append(Matrix.from_rows(F, rows))
-        coordinates = coordinate_maps.get((x, x)) or coordinate_map(corners[x, x], M, M)
-        hom_to_corner.append(Matrix.from_rows(F, [coordinates(h) for h in basis]))
-    return AuslanderData(algebra, summands, T, basis_morphisms, list(range(n)), homs,
-                         corner_to_hom, hom_to_corner)
+    return AuslanderData(algebra, summands, T, basis_morphisms, list(range(n)), homs)
 
 
 def projective_row(data_or_algebra, k) -> FinModule:
@@ -751,11 +706,23 @@ def simple_module(data_or_algebra, k) -> FinModule:
 # -- functor evaluation ---------------------------------------------------
 
 
-@dataclass
 class FunctorValue:
-    dim: int
-    ambient: int
-    relations: Subspace
+    """The value V (x)_S Hom(T, X) of the functor of V at X: its `dim`, the
+    `ambient` dimension nV * nH of the V (x) H coordinate grid, H a basis of
+    Hom(T, X), and the `relations` there that the value is the quotient by.
+
+    `relations` may be given as a function that builds them: it is called
+    when the attribute is first read, and its result stored."""
+
+    def __init__(self, dim, ambient, relations):
+        self.dim, self.ambient = dim, ambient
+        self._relations = relations
+
+    @property
+    def relations(self) -> Subspace:
+        if not isinstance(self._relations, Subspace):
+            self._relations = self._relations()
+        return self._relations
 
     def basis_vectors(self):
         """Canonical coset representatives in the V (x) H coordinate grid."""
@@ -765,27 +732,43 @@ class FunctorValue:
 
 
 def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
-    """dim of V (x)_S Hom(T, X) for the functor corresponding to V."""
+    """The functor of V at X, V (x)_S Hom(T, X).
+
+    At a summand M_x of T (by identity), Hom(T, M_x) is S e_x as a left
+    S-module (Yoneda), so the value is V (x)_S S e_x = V e_x: its dim is the
+    rank of the action of e_x on V, and no Hom(T, M_x) action is built until
+    the relations are read.  At any other X, the relations are spanned
+    first and the dim read off them."""
     if V.algebra is not data.algebra:
         raise AlgebraMismatch("module over a different Auslander algebra")
     if X.algebra != data.sum_rep.algebra:
         raise AlgebraMismatch("argument over the wrong quiver algebra")
+    x = next((k for k, N in enumerate(data.summands) if N is X), None)
+    if x is None:
+        rel = _eval_relations(V, X, data)
+        return FunctorValue(rel.ambient_dim - rel.dim, rel.ambient_dim, rel)
+    nH = sum(len(data.homs[i, x]) for i in range(len(data.summands)))
+    dim = V.sort_dim(data.summand_of_idempotent.index(x))
+    return FunctorValue(dim, V.dim * nH, lambda: _eval_relations(V, X, data))
+
+
+def _eval_relations(V: FinModule, X, data: AuslanderData) -> Subspace:
+    """The relations v s (x) h - v (x) s h of V (x)_S Hom(T, X), spanned in
+    the nV * nH coordinate grid."""
     F = V.field
     H, actions = data.hom_action(X)
     nH = len(H)
     nV = V.dim
-    ambient = nV * nH
-    if ambient == 0:
-        return FunctorValue(0, 0, Subspace.zero(F, 0))
-    # the relations v s (x) h - v (x) s h, written as the commuting squares
-    # of one nV x nH block: P the action of s on H, Q that on V
+    if nV * nH == 0:
+        return Subspace.zero(F, 0)
+    # written as the commuting squares of one nV x nH block: P the action of
+    # s on H, Q that on V
     squares = []
     for rows, cols in zip(V.sparse_action, actions):
         if cols or rows:
             q_rows = [rows.get(i, ()) for i in range(nV)]
             squares.append((0, 0, [cols.get(j, ()) for j in range(nH)], q_rows))
-    rel = sparse_span(F, ambient, sparse_commuting_equations(F, [(nV, nH)], squares))
-    return FunctorValue(ambient - rel.dim, ambient, rel)
+    return sparse_span(F, nV * nH, sparse_commuting_equations(F, [(nV, nH)], squares))
 
 
 def pp_functor_crosscheck(pair, V: FinModule, data: AuslanderData, modules) -> bool:
@@ -806,12 +789,7 @@ class SerreData:
 
 def composition_support(X: FinModule):
     """Indices i with [X : T_i] = dim X e_i > 0 (split basic case)."""
-    out = set()
-    for i, e in enumerate(X.algebra.idempotents):
-        m = X.act_vector(e)
-        if any(not X.field.is_zero(x) for x in m.entries):
-            out.add(i)
-    return out
+    return {i for i in range(len(X.algebra.idempotents)) if X.sort_dim(i)}
 
 
 def serre_from_generator(functors, G, data: AuslanderData) -> SerreData:

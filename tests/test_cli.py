@@ -296,6 +296,15 @@ def test_exit_code_2_on_functor_index_out_of_range():
     assert doc["error_kind"] == "UnresolvedReference"
 
 
+@pytest.mark.parametrize("spec", ["row:x", "simple:x"])
+def test_exit_code_2_on_non_integer_functor_index(spec):
+    code, doc, _ = invoke(["funcat-eval", "--builtin", "a2", "--modules", "P1,P2,S1",
+                           "--functor", spec, "--argument", "P1"])
+    assert code == 2
+    assert doc["error_kind"] == "UnresolvedReference"
+    assert doc["error"] == "functor spec must be row:<k> or simple:<k>"
+
+
 def test_module_form_runs_the_cli():
     import os
     import subprocess

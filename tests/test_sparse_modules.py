@@ -2,10 +2,13 @@
 
 - `linalg.sparse_span` of rows given as {column: value} against
   `Subspace.from_vectors` of the densified rows, by `repr`.
-- The Hom(T, M_x) actions of a summand M_x, read off the structure
-  constants, against the compose-and-solve route that every other argument
-  takes, by `repr` of the densified actions.
-- The census with the dense `FinModule.action` view refused.
+- The Hom(T, M_x) actions of a summand M_x, built on the kept `homs`,
+  against the dense oracle composed on T and against a structurally equal
+  copy of M_x, by `repr` of the densified actions.
+- `functor_eval` at a summand, dim V e_x with the relations built only when
+  read, against the dense oracle and against the copy.
+- The census with the dense `FinModule.action` view refused, and with no
+  Hom(T, X) action built.
 - `FinModule.quotient` and `act_vector` on the sparse rows against the
   dense formulas they replaced.
 - The shortcuts of `project` onto a prefix and of `contains` against the
@@ -20,8 +23,8 @@ from hypothesis import strategies as st
 
 from ppcat.errors import NotASubspace
 from ppcat.funcat import (
-    FiniteAlgebra, _Actions, auslander_algebra, functor_eval, projective_row,
-    quiver_algebra_to_finite, simple_module,
+    AuslanderData, FiniteAlgebra, FinModule, _Actions, auslander_algebra, functor_eval,
+    projective_row, quiver_algebra_to_finite, simple_module,
 )
 from ppcat.linalg import (
     Matrix, QuotientSpace, Subspace, contains, project, row_apply, sparse_span,
@@ -31,6 +34,7 @@ from ppcat.scalars import QQ, PrimeField
 
 from fixtures import a3_algebra, dual_numbers_algebra, rep
 from test_auslander_corners import densify, interval_modules, interval_subsets, keps_inputs
+from test_sparse_census import oracle_hom_mats, oracle_relations
 
 F32003 = PrimeField(32003)
 FIELDS = [QQ, PrimeField(2), PrimeField(3), F32003]
@@ -113,21 +117,26 @@ def test_sparse_span_of_nothing(F):
 
 
 def general_route(data, X):
-    """hom_action of X by composing and solving: a copy of X that is equal
-    but not one of the summands takes that route."""
-    copy = Representation(X.algebra, dict(X.dims), dict(X.maps), check=False)
-    return data._build_hom_action(copy)
+    """hom_action of X by composing and solving on a fresh `hom_space`: a
+    copy of X that is equal but not one of the summands takes that route."""
+    return data._build_hom_action(structural_copy(X))
+
+
+def structural_copy(X):
+    return Representation(X.algebra, dict(X.dims), dict(X.maps), check=False)
 
 
 def check_summand_route(summands):
     data = auslander_algebra(summands)
     for X in summands:
         H, actions = data.hom_action(X)
-        want_H, want = general_route(data, X)
-        assert [h.blocks for h in H] == [h.blocks for h in want_H]
+        want_H, mats = oracle_hom_mats(data, X)
+        copy_H, copy = general_route(data, X)
+        assert [h.blocks for h in H] == [h.blocks for h in want_H] == \
+            [h.blocks for h in copy_H]
         nH = len(H)
-        assert repr([densify(X.field, cols, nH) for cols in actions]) == \
-            repr([densify(X.field, cols, nH) for cols in want])
+        assert repr([densify(X.field, cols, nH) for cols in actions]) == repr(mats) == \
+            repr([densify(X.field, cols, nH) for cols in copy])
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -138,7 +147,7 @@ def test_summand_actions_match_the_general_route(inputs):
 
 # square-zero matrices: t on the regular module of the dual numbers in other
 # bases.  With a nonzero first entry, the `hom_space` basis of End(R) is not
-# e and a radical row, so the corner (R, R) needs both changes of basis.
+# e and a radical row.
 SQUARE_ZERO = [[[0, 1], [0, 0]], [[1, 1], [-1, -1]], [[2, -4], [1, -2]], [[-3, 9], [-1, 3]]]
 
 
@@ -155,17 +164,86 @@ def test_summand_actions_with_a_radical_corner(F, order, t):
     check_summand_route([summands[k] for k in order])
 
 
-@pytest.mark.parametrize("t", SQUARE_ZERO, ids=str)
-def test_change_of_basis_matrices_are_inverse(t):
-    for F in (QQ, F32003):
-        data = auslander_algebra(keps_summands(F, t))
-        for to_hom, to_corner in zip(data.corner_to_hom, data.hom_to_corner):
-            n = to_hom.rows
-            assert (to_hom.rows, to_hom.cols) == (to_corner.rows, to_corner.cols)
-            ident = to_hom.mul(to_corner)
-            assert ident.entries == tuple(int(i == j) for i in range(n) for j in range(n))
-        # the regular module's corner changes basis unless t is upper triangular
-        assert (data.corner_to_hom[0].entries == (1, 0, 0, 1)) == (t[0][0] == 0)
+# -- functor values at a summand ------------------------------------------------
+
+
+@st.composite
+def summand_cases(draw):
+    """(Auslander data, functors): the summands are shuffled interval
+    modules of A3-A5, or the two keps modules with t in one of four bases,
+    over Q or F_32003; the functors are the projective rows, the simple tops, quotients of rows by the
+    submodule of random vectors, and a row and a quotient in a random basis.
+    In the bases the census builds every idempotent acts on coordinates;
+    in a random one its nonzero action rows need not be independent."""
+    F = draw(st.sampled_from([QQ, F32003]))
+    if draw(st.booleans()):
+        mods = interval_modules(F, draw(st.integers(3, 5)))
+        idx = draw(st.lists(st.integers(0, len(mods) - 1), min_size=1, max_size=5,
+                            unique=True))
+        summands = [mods[k] for k in idx]
+    else:
+        summands = keps_summands(F, draw(st.sampled_from(SQUARE_ZERO)))
+        summands = summands[::draw(st.sampled_from([1, -1]))]
+    data = auslander_algebra(summands)
+    n = len(summands)
+    functors = [f(data, k) for k in range(n) for f in (projective_row, simple_module)]
+    coeff = st.integers(-2, 2).map(F.from_int)
+    for _ in range(draw(st.integers(1, 3))):
+        row = projective_row(data, draw(st.integers(0, n - 1)))
+        vecs = draw(st.lists(st.lists(coeff, min_size=row.dim, max_size=row.dim),
+                             min_size=1, max_size=2))
+        quo = row.quotient(row.submodule(vecs))[0]
+        functors.append(quo)
+    for V in (row, quo):
+        entries = draw(st.lists(st.integers(-2, 2), min_size=V.dim ** 2, max_size=V.dim ** 2))
+        functors.append(conjugated(V, entries))
+    return data, functors
+
+
+def conjugated(V, entries):
+    """V in the basis P = 1 + N, N strictly upper triangular with the given
+    entries: the action matrices P A P^-1."""
+    F, n = V.field, V.dim
+    N = Matrix(F, n, n, tuple(F.from_int(x) if t % n > t // n else F.zero()
+                              for t, x in enumerate(entries)))
+    one = Matrix.identity(F, n)
+    inverse = power = one
+    for _ in range(n):
+        power = power.mul(N.scale(F.from_int(-1)))
+        inverse = inverse.add(power)
+    P = one.add(N)
+    assert P.mul(inverse) == one
+    return FinModule(V.algebra, n, [P.mul(A).mul(inverse) for A in V.action])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(summand_cases())
+def test_functor_values_at_summands(case):
+    data, functors = case
+    for X in data.summands:
+        copy = structural_copy(X)
+        _, mats = oracle_hom_mats(data, X)
+        nH = mats[0].rows
+        for V in functors:
+            val = functor_eval(V, X, data)
+            assert val.ambient == V.dim * nH
+            assert val.dim == val.ambient - val.relations.dim
+            assert val.dim == functor_eval(V, copy, data).dim
+            assert repr(val.relations) == repr(oracle_relations(V, mats, nH))
+
+
+def test_functor_values_at_summands_build_no_hom_action(monkeypatch):
+    cases = [interval_modules(F32003, 4)[1::2], keps_summands(QQ, SQUARE_ZERO[2])]
+    want = [census(inputs)[1] for inputs in cases]
+
+    def refuse(self, X):
+        raise AssertionError("a Hom(T, X) action was built")
+    monkeypatch.setattr(AuslanderData, "_build_hom_action", refuse)
+    assert [census(inputs)[1] for inputs in cases] == want
+    data = auslander_algebra(cases[1])
+    val = functor_eval(projective_row(data, 0), cases[1][0], data)
+    with pytest.raises(AssertionError, match="Hom"):
+        val.relations
 
 
 # -- the census never builds the dense view ------------------------------------
