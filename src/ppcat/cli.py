@@ -454,8 +454,7 @@ def cmd_funcat_quotient(args, ws, seed):
     labels = [lbl for lbl, _ in functors]
     mods = [V for _, V in functors]
     sigma = fc.serre_from_generator(mods, G, data)
-    rad = S.radical()
-    report = fc.quotient_skeleton(mods, sigma, rad, seed=seed)
+    report = fc.quotient_skeleton(mods, sigma, seed=seed)
     return {"functors": labels,
             "sigma": sorted(sigma.simples),
             "classes": [[labels[k] for k in cls] for cls in report.classes],

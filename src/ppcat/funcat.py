@@ -22,7 +22,6 @@ from .errors import (
 from .linalg import (
     Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel,
     row_apply, solve, sparse_commuting_equations, sparse_span, trace_form_radical, trace_gram,
-    vstack,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
@@ -66,8 +65,8 @@ class FiniteAlgebra:
         self._basis = tuple(tuple(one if i == k else zero for i in range(n)) for k in range(n))
         self._radical = None  # memo of radical()
         # memos of regular_module() (filled only when it is called) and of
-        # projective_row (k -> e_k S), kept as (dim, action) so that they hold
-        # no module pointing back at self
+        # projective_row (k -> e_k S), kept as sparse actions (with the dim
+        # for a row) so that they hold no module pointing back at self
         self._regular = None
         self._projective_rows = {}
         if validate:
@@ -130,20 +129,12 @@ class FiniteAlgebra:
         return {k: v for k, v in acc.items() if v}
 
     def regular_module(self):
-        """The right regular module; the action matrix of b_k has row i equal
-        to b_i b_k, read off the structure constants (once per algebra)."""
-        d = self.dim
+        """The right regular module; the action of b_k has row i equal to
+        b_i b_k, read off the structure constants (once per algebra)."""
         if self._regular is None:
-            zero = self.field.zero()
-            action = []
-            for k in range(d):
-                ents = [zero] * (d * d)
-                for i, row in enumerate(self._rows):
-                    for m, c in row.get(k, ()):
-                        ents[i * d + m] = c
-                action.append(Matrix(self.field, d, d, tuple(ents)))
-            self._regular = tuple(action)
-        return FinModule(self, d, self._regular, check=False)
+            self._regular = tuple({i: tuple(sorted(row[k])) for i, row in enumerate(self._rows)
+                                   if k in row} for k in range(self.dim))
+        return FinModule(self, self.dim, self._regular, check=False)
 
     def radical(self) -> Subspace:
         """Radical as a subspace of the coordinate space, via the trace form
@@ -269,66 +260,30 @@ def _constants_of_table(table, n):
             for j, cell in enumerate(row)}
 
 
-class _Actions:
-    """The action of each basis element of an algebra on a module of
-    dimension `dim`, in two forms, each built from the other once, when it
-    is first read: `sparse`, per basis element a dict from each nonzero row
-    of its matrix to that row's nonzero (column, value) pairs, rows and
-    columns in increasing order; and `dense`, per basis element its
-    dim x dim Matrix.  It holds no module or algebra, so an algebra may keep
-    it in a memo without a reference cycle."""
-
-    __slots__ = ("field", "dim", "_sparse", "_dense")
-
-    def __init__(self, field, dim, sparse=None, dense=None):
-        self.field, self.dim = field, dim
-        self._sparse, self._dense = sparse, dense
-
-    @property
-    def sparse(self):
-        if self._sparse is None:
-            self._sparse = tuple(
-                {i: row for i, row in ((i, tuple((j, x) for j, x in enumerate(m.row(i)) if x))
-                                       for i in range(self.dim)) if row}
-                for m in self._dense)
-        return self._sparse
-
-    @property
-    def dense(self):
-        if self._dense is None:
-            F, d = self.field, self.dim
-            zero = F.zero()
-            out = []
-            for rows in self._sparse:
-                ents = [zero] * (d * d)
-                for i, row in rows.items():
-                    for j, x in row:
-                        ents[i * d + j] = x
-                out.append(Matrix(F, d, d, tuple(ents)))
-            self._dense = tuple(out)
-        return self._dense
-
-
 class FinModule:
     """A right module over a FiniteAlgebra: row vectors, one action per basis
-    element of the algebra.
+    element of the algebra, kept sparse.
 
-    `action` may be the dense matrices, or an `_Actions` holding the sparse
-    rows; `sparse_action` and `action` read either form, the missing one
-    built on first read and then kept."""
+    `sparse_action` holds per basis element a dict from each nonzero row of
+    its matrix to that row's nonzero (column, value) pairs, rows and columns
+    in increasing order.  `action` may be given in that form, or as the
+    dense dim x dim matrices, converted once here."""
 
     def __init__(self, algebra: FiniteAlgebra, dim, action, check=True):
         self.algebra = algebra
         self.dim = dim
-        if not isinstance(action, _Actions):
-            action = tuple(action)
-            if len(action) != algebra.dim:
-                raise DimensionMismatch("one action matrix per algebra basis element")
+        action = tuple(action)
+        if len(action) != algebra.dim:
+            raise DimensionMismatch("one action matrix per algebra basis element")
+        if any(isinstance(m, Matrix) for m in action):
             for m in action:
                 if m.rows != dim or m.cols != dim:
                     raise DimensionMismatch("action matrix shape mismatch")
-            action = _Actions(algebra.field, dim, dense=action)
-        self._actions = action
+            action = tuple(
+                {i: row for i, row in ((i, tuple((j, x) for j, x in enumerate(m.row(i)) if x))
+                                       for i in range(dim)) if row}
+                for m in action)
+        self.sparse_action = action
         if check:
             self._validate()
 
@@ -336,65 +291,57 @@ class FinModule:
     def field(self):
         return self.algebra.field
 
-    @property
-    def action(self):
-        """The dense action matrices, one per basis element of the algebra."""
-        return self._actions.dense
-
-    @property
-    def sparse_action(self):
-        """Per basis element of the algebra, its nonzero action rows: row ->
-        the nonzero (column, value) pairs, both in increasing order."""
-        return self._actions.sparse
-
-    def act_vector(self, vec):
-        """Action matrix of an algebra element given by coordinates."""
-        F, d = self.field, self.dim
-        p = F.char
-        ents = [0 if p else F.zero()] * (d * d)
-        for c, rows in zip(vec, self.sparse_action):
-            if rows and (c % p if p else c):
-                for i, row in rows.items():
-                    base = i * d
-                    for j, x in row:
-                        ents[base + j] += c * x
-        return Matrix(F, d, d, tuple(x % p for x in ents) if p else tuple(ents))
-
     def _validate(self):
-        F = self.field
-        if self.act_vector(self.algebra.unit_vector()) != Matrix.identity(F, self.dim):
+        """The unit acts as the identity, and b_i b_j as the action of b_i
+        followed by that of b_j, compared row by row on the sparse rows."""
+        S, action = self.algebra, self.sparse_action
+        p = self.field.char
+
+        def reduced(rows):  # {row: {column: value}} without zero entries and rows
+            return {i: r for i, r in ((i, _nonzero(row, p)) for i, row in rows.items()) if r}
+        unit = ((m, c) for m, c in enumerate(S.unit_vector()) if c)
+        if reduced(self._combination(unit)) != {i: {i: 1} for i in range(self.dim)}:
             raise PpcatError("unit does not act as the identity")
-        n = self.algebra.dim
-        action = self.action
-        for i in range(n):
-            for j in range(n):
-                prod = self.algebra.mul(self.algebra.basis_vector(i),
-                                        self.algebra.basis_vector(j))
-                if self.act_vector(prod) != action[i].mul(action[j]):
+        for i, A in enumerate(action):
+            for j, B in enumerate(action):
+                prod = {r: _row_times(row, B, p) for r, row in A.items()}
+                if reduced(self._combination(S._rows[i].get(j, ()))) != reduced(prod):
                     raise PpcatError("action does not respect the structure constants")
 
     def submodule(self, vectors) -> Subspace:
-        """The smallest action-closed subspace containing the vectors."""
-        F = self.field
-        current = Subspace.from_vectors(F, self.dim, vectors)
+        """The smallest action-closed subspace containing the vectors, each
+        given dense or as a {column: value} dict: their span, with the images
+        of its basis rows under every basis element added until it stops
+        growing."""
+        F, d, p = self.field, self.dim, self.field.char
+        rows = []
+        for v in vectors:
+            if not isinstance(v, dict):
+                if len(v) != d:
+                    raise DimensionMismatch("vector length %d, ambient %d" % (len(v), d))
+                v = {j: x for j, x in enumerate(v) if x}
+            rows.append(v)
+        current = sparse_span(F, d, rows)
         while True:
-            vecs = list(current.basis_rows())
-            for r in current.basis_rows():
-                for m in self.action:
-                    vecs.append(row_apply(r, m))
-            nxt = Subspace.from_vectors(F, self.dim, vecs)
+            basis = current.nonzero_rows
+            images = [_row_times(r, A, p) for r in basis for A in self.sparse_action]
+            nxt = sparse_span(F, d, [dict(r) for r in basis] + images)
             if nxt.dim == current.dim:
                 return nxt
             current = nxt
 
     def restrict(self, sub: Subspace) -> "FinModule":
-        F = self.field
-        rows = sub.basis_rows()
+        """The submodule `sub` on its RREF basis: row r of the action of b_m
+        is the coordinates of (basis row r) b_m."""
+        p = self.field.char
         action = []
-        for m in self.action:
-            mat = Matrix.from_rows(F, [sub.coordinates(row_apply(r, m)) for r in rows]) \
-                if rows else Matrix(F, 0, 0, ())
-            action.append(mat)
+        for A in self.sparse_action:
+            out = {}
+            for r, row in enumerate(sub.nonzero_rows):
+                image = _row_times(row, A, p)
+                if image:
+                    out[r] = _coordinates(sub, image)
+            action.append(out)
         return FinModule(self.algebra, sub.dim, action, check=False)
 
     def quotient(self, sub: Subspace):
@@ -417,59 +364,80 @@ class FinModule:
                     if red:
                         out[t] = tuple(sorted((position[j], x) for j, x in red.items()))
             action.append(out)
-        return FinModule(self.algebra, q.dim, _Actions(F, q.dim, sparse=tuple(action)),
-                         check=False), q
+        return FinModule(self.algebra, q.dim, action, check=False), q
 
-    def _sparse_rows(self, terms):
-        """The rows of the action of r = sum_m r_m b_m, given as its (m, r_m)
-        terms, each summed from the sparse rows of the b_m: a list of
-        {column: value}, one per row that some b_m touches."""
-        action = self._actions.sparse
-        acc = {}  # row i -> {column: value}
+    def _combination(self, terms):
+        """The action of r = sum_m r_m b_m, given as its (m, r_m) terms,
+        summed from the sparse rows of the b_m: {row: {column: value}} for
+        each row that some b_m touches, the values not reduced."""
+        action = self.sparse_action
+        acc = {}
         for m, c in terms:
             for i, row in action[m].items():
                 out = acc.setdefault(i, {})
                 for j, x in row:
                     out[j] = out.get(j, 0) + c * x
-        return list(acc.values())
+        return acc
+
+    def sort_rows(self, k):
+        """The rows of the action of the k-th idempotent e_k, which span
+        V e_k, as {column: value}."""
+        e = self.algebra.idempotents[k]
+        return list(self._combination((m, c) for m, c in enumerate(e) if c).values())
 
     def sort_dim(self, k):
-        """dim V e_k, the rank of the action of the k-th idempotent, taken
-        sparse."""
-        e = self.algebra.idempotents[k]
-        rows = self._sparse_rows((m, c) for m, c in enumerate(e) if c)
-        return sparse_span(self.field, self.dim, rows).dim
+        """dim V e_k, the rank of the action of e_k, taken sparse."""
+        return sparse_span(self.field, self.dim, self.sort_rows(k)).dim
 
     def radical_subspace(self, alg_radical: Subspace) -> Subspace:
         """V rad(S), the span of the rows of the radical's action; it is a
         submodule already, rad(S) being a two-sided ideal."""
         vecs = []
         for r in alg_radical.nonzero_rows:
-            vecs.extend(self._sparse_rows(r))
+            vecs.extend(self._combination(r).values())
         return sparse_span(self.field, self.dim, vecs)
 
-    def socle(self, alg_radical: Subspace) -> Subspace:
-        F = self.field
-        mats = [self.act_vector(r).transpose() for r in alg_radical.basis_rows()]
-        if not mats:
-            return Subspace.full(F, self.dim)
-        return kernel(vstack(mats))
 
-    def isotypic_socle_part(self, alg_radical: Subspace, indices) -> Subspace:
-        soc = self.socle(alg_radical)
-        vecs = []
-        for r in soc.basis_rows():
-            for i in indices:
-                vecs.append(row_apply(r, self.act_vector(self.algebra.idempotents[i])))
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+def _row_times(row, A, p):
+    """The row vector given by its (index, value) pairs times the matrix
+    given by its sparse rows A, as {column: nonzero value}."""
+    acc = {}
+    for i, x in row:
+        for j, y in A.get(i, ()):
+            acc[j] = acc.get(j, 0) + x * y
+    return _nonzero(acc, p)
+
+
+def _nonzero(vec, p):
+    """vec, given as {column: value}, with its values reduced mod p (p > 0)
+    and the zero ones dropped."""
+    if p:
+        return {j: x % p for j, x in vec.items() if x % p}
+    return {j: x for j, x in vec.items() if x}
+
+
+def _coordinates(sub: Subspace, vec):
+    """The nonzero coordinates, as (index, value) pairs, of vec, given as
+    {column: nonzero value}, over the RREF basis of sub; raises if vec is
+    not in sub."""
+    if sub.reduce_sparse(vec):
+        raise NotASubspace("vector not in subspace")
+    return tuple((t, c) for t, c in enumerate(vec.get(pc, 0) for pc in sub.pivots) if c)
 
 
 def fin_hom(X: FinModule, Y: FinModule):
     """Basis of module maps X -> Y as dim(X) x dim(Y) matrices on row vectors:
-    the f with f Y(s) = X(s) f for every basis element s."""
+    the f with f Y(s) = X(s) f for every basis element s, one commuting
+    square each, Y(s) by its columns and X(s) by its rows."""
     if X.algebra is not Y.algebra:
         raise AlgebraMismatch("hom across algebras")
-    squares = [(0, 0, B, A) for A, B in zip(X.action, Y.action)]
+    squares = []
+    for A, B in zip(X.sparse_action, Y.sparse_action):
+        p_cols = [[] for _ in range(Y.dim)]
+        for k, row in B.items():
+            for j, x in row:
+                p_cols[j].append((k, x))
+        squares.append((0, 0, p_cols, [A.get(i, ()) for i in range(X.dim)]))
     return [blocks[0] for blocks in commuting_solutions(X.field, [(X.dim, Y.dim)], squares)]
 
 
@@ -514,7 +482,6 @@ class AuslanderData:
     # per algebra basis element: (i, k, g) with g: M_i -> M_k, a basis morphism
     # of the corner e_i S e_k = Hom(M_i, M_k)
     basis_morphisms: list
-    summand_of_idempotent: list  # idempotent index -> summand index
     # (i, k) -> hom_space(M_i, M_k), the canonical basis, for all pairs
     homs: dict = dc_field(repr=False, compare=False)
     # memo of hom_action: argument module -> (basis of Hom(T, X), the nonzero
@@ -651,22 +618,22 @@ def auslander_algebra(indecomposables) -> AuslanderData:
         z[pos] = F.one()
         idempotents.append(tuple(z))
     algebra = FiniteAlgebra(F, labels, constants, idempotents)
-    return AuslanderData(algebra, summands, T, basis_morphisms, list(range(n)), homs)
+    return AuslanderData(algebra, summands, T, basis_morphisms, homs)
 
 
 def projective_row(data_or_algebra, k) -> FinModule:
-    """The right ideal e_k S as a module, built once per algebra (its dense
-    `action`, when read, is built once too)."""
+    """The right ideal e_k S as a module, its action built once per
+    algebra."""
     S = data_or_algebra.algebra if isinstance(data_or_algebra, AuslanderData) \
         else data_or_algebra
     memo = S._projective_rows.get(k)
     if memo is None:
         memo = S._projective_rows[k] = _right_ideal_action(S, k)
-    return FinModule(S, memo.dim, memo, check=False)
+    return FinModule(S, *memo, check=False)
 
 
-def _right_ideal_action(S: FiniteAlgebra, k) -> _Actions:
-    """The sparse action on e_k S, from the structure constants.
+def _right_ideal_action(S: FiniteAlgebra, k):
+    """(dim, sparse action) of e_k S, from the structure constants.
 
     e_k S is a right ideal, so the span of the e_k b_j is closed under the
     action.  The action matrix of b_m has as row r the coordinates of
@@ -686,11 +653,8 @@ def _right_ideal_action(S: FiniteAlgebra, k) -> _Actions:
         for m in right_support(row):
             prod = S._sparse_mul(row, {m: one})
             if prod:
-                if sub.reduce_sparse(prod):
-                    raise NotASubspace("vector not in subspace")
-                action[m][r] = tuple((t, c) for t, c in enumerate(prod.get(pc, 0)
-                                                                for pc in sub.pivots) if c)
-    return _Actions(F, sub.dim, sparse=tuple(action))
+                action[m][r] = _coordinates(sub, prod)
+    return sub.dim, tuple(action)
 
 
 def simple_module(data_or_algebra, k) -> FinModule:
@@ -748,7 +712,7 @@ def functor_eval(V: FinModule, X, data: AuslanderData) -> FunctorValue:
         rel = _eval_relations(V, X, data)
         return FunctorValue(rel.ambient_dim - rel.dim, rel.ambient_dim, rel)
     nH = sum(len(data.homs[i, x]) for i in range(len(data.summands)))
-    dim = V.sort_dim(data.summand_of_idempotent.index(x))
+    dim = V.sort_dim(x)
     return FunctorValue(dim, V.dim * nH, lambda: _eval_relations(V, X, data))
 
 
@@ -801,41 +765,35 @@ def serre_from_generator(functors, G, data: AuslanderData) -> SerreData:
     return SerreData(frozenset(sigma))
 
 
-def torsion_part(X: FinModule, serre: SerreData, alg_radical: Subspace) -> Subspace:
-    """t(X): the largest submodule with all composition factors in Sigma."""
-    F = X.field
-    t = Subspace.zero(F, X.dim)
-    while True:
-        quo, q = X.quotient(t)
-        part = quo.isotypic_socle_part(alg_radical, sorted(serre.simples))
-        if part.dim == 0:
-            return t
-        vecs = list(t.basis_rows())
-        for r in part.basis_rows():
-            lift = [F.zero()] * X.dim
-            for c, i in zip(r, range(q.dim)):
-                if not F.is_zero(c):
-                    lift = [F.add(a, F.mul(c, b)) for a, b in zip(lift, q.lift(i))]
-            vecs.append(tuple(lift))
-        t = X.submodule(vecs)
+def torsion_part(X: FinModule, serre: SerreData) -> Subspace:
+    """t(X): the largest submodule with all composition factors in Sigma,
+    the v with v S e_i = 0 for every i outside Sigma.  S e_i is spanned by
+    the products b_m e_i, so t(X) is one kernel: of the columns of the
+    action of every nonzero b_m e_i."""
+    S = X.algebra
+    one = X.field.one()
+    columns = []
+    for i in range(len(S.idempotents)):
+        if i not in serre.simples:
+            e = S._sparse(S.idempotents[i])
+            for m in range(S.dim):
+                x = S._sparse_mul({m: one}, e)
+                by_column = {}
+                for r, row in X._combination(x.items()).items():
+                    for j, y in row.items():
+                        by_column.setdefault(j, {})[r] = y
+                columns.extend(by_column.values())
+    return kernel(sparse_span(X.field, X.dim, columns).basis)
 
 
-def minimal_cotorsion(X: FinModule, serre: SerreData, alg_radical: Subspace) -> Subspace:
-    """X_min: the smallest submodule with X / X_min in the Serre class."""
-    F = X.field
-    outside = [i for i in range(len(X.algebra.idempotents)) if i not in serre.simples]
-    current = Subspace.full(F, X.dim)
-    while True:
-        vecs = []
-        rad_mats = [X.act_vector(r) for r in alg_radical.basis_rows()]
-        out_mats = [X.act_vector(X.algebra.idempotents[i]) for i in outside]
-        for r in current.basis_rows():
-            for m in rad_mats + out_mats:
-                vecs.append(row_apply(r, m))
-        nxt = X.submodule(vecs)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
+def minimal_cotorsion(X: FinModule, serre: SerreData) -> Subspace:
+    """X_min: the smallest submodule with X / X_min in the Serre class, the
+    submodule generated by the X e_i for every i outside Sigma."""
+    rows = []
+    for i in range(len(X.algebra.idempotents)):
+        if i not in serre.simples:
+            rows.extend(X.sort_rows(i))
+    return X.submodule(rows)
 
 
 @dataclass
@@ -851,32 +809,30 @@ class QHom:
 
 
 def quotient_hom(X: FinModule, Y: FinModule, serre: SerreData,
-                 alg_radical: Subspace, x_min=None, y_tors=None) -> QHom:
+                 x_min=None, y_tors=None) -> QHom:
     """Hom(X_min, Y / t(Y)); X_min and t(Y) are computed unless given."""
     if x_min is None:
-        x_min = minimal_cotorsion(X, serre, alg_radical)
+        x_min = minimal_cotorsion(X, serre)
     if y_tors is None:
-        y_tors = torsion_part(Y, serre, alg_radical)
+        y_tors = torsion_part(Y, serre)
     dom = X.restrict(x_min)
     cod, _ = Y.quotient(y_tors)
     return QHom(X, Y, serre, x_min, y_tors, fin_hom(dom, cod))
 
 
-def qhom_identity(X: FinModule, serre: SerreData, alg_radical: Subspace,
-                  x_min=None, t=None) -> Matrix:
+def qhom_identity(X: FinModule, serre: SerreData, x_min=None, t=None) -> Matrix:
     """The image of the identity: X_min included in X, projected mod t(X);
     X_min and t(X) are computed unless given."""
     if x_min is None:
-        x_min = minimal_cotorsion(X, serre, alg_radical)
+        x_min = minimal_cotorsion(X, serre)
     if t is None:
-        t = torsion_part(X, serre, alg_radical)
+        t = torsion_part(X, serre)
     q = QuotientSpace(Subspace.full(X.field, X.dim), t)
     rows = [q.project_vector(r) for r in x_min.basis_rows()]
     return Matrix.from_rows(X.field, rows) if rows else Matrix(X.field, 0, q.dim, ())
 
 
-def qhom_compose(g_data: QHom, g: Matrix, f_data: QHom, f: Matrix,
-                 alg_radical: Subspace) -> Matrix:
+def qhom_compose(g_data: QHom, g: Matrix, f_data: QHom, f: Matrix) -> Matrix:
     """g o f for f: X -> Y and g: Y -> Z in the quotient category."""
     return _qhom_lift(g_data, f_data)(g, f)
 
@@ -913,21 +869,20 @@ class SkeletonReport:
     certain: bool
 
 
-def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
-                      seed=0) -> SkeletonReport:
+def quotient_skeleton(functors, serre: SerreData, seed=0) -> SkeletonReport:
     """Group the survivors into quotient-isomorphism classes.
 
     t(X) is computed once per functor, and X_min once per functor that a
     pair needs."""
     functors = list(functors)
-    tors = [torsion_part(X, serre, alg_radical) for X in functors]
+    tors = [torsion_part(X, serre) for X in functors]
     discarded = [k for k, X in enumerate(functors) if tors[k].dim == X.dim]
     survivors = [k for k, X in enumerate(functors) if tors[k].dim != X.dim]
     mins = {}
 
     def x_min(k):
         if k not in mins:
-            mins[k] = minimal_cotorsion(functors[k], serre, alg_radical)
+            mins[k] = minimal_cotorsion(functors[k], serre)
         return mins[k]
 
     certain = True
@@ -937,35 +892,23 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
     def mutually_inverse(i, j):
         nonlocal certain
         Xi, Xj = functors[i], functors[j]
-        fwd = quotient_hom(Xi, Xj, serre, alg_radical, x_min(i), tors[j])
-        bwd = quotient_hom(Xj, Xi, serre, alg_radical, x_min(j), tors[i])
+        fwd = quotient_hom(Xi, Xj, serre, x_min(i), tors[j])
+        bwd = quotient_hom(Xj, Xi, serre, x_min(j), tors[i])
         if not fwd.basis or not bwd.basis:
             return False
-        id_i = qhom_identity(Xi, serre, alg_radical, x_min(i), tors[i])
-        id_j = qhom_identity(Xj, serre, alg_radical, x_min(j), tors[j])
+        id_i = qhom_identity(Xi, serre, x_min(i), tors[i])
+        id_j = qhom_identity(Xj, serre, x_min(j), tors[j])
         after_fwd = _qhom_lift(bwd, fwd)  # (g, f) -> g o f, Xi -> Xj -> Xi
         after_bwd = _qhom_lift(fwd, bwd)  # (f, g) -> f o g, Xj -> Xi -> Xj
-        rng = random.Random(seed)
         F_ = Xi.field
-        candidates = list(bwd.basis)
-        trials = 256
-        if F_.char != 0 and F_.char ** len(bwd.basis) <= 2 ** 16:
-            candidates = [linear_combination(bwd.basis, [F_.from_int(c) for c in coeffs])
-                          for coeffs in iter_product(range(F_.char), repeat=len(bwd.basis))
-                          if any(coeffs)]
-            trials = 0
-        for _ in range(trials):
-            hi = F_.char if F_.char else 7
-            coeffs = [F_.from_int(rng.randrange(hi) - (0 if F_.char else 3))
-                      for _ in range(len(bwd.basis))]
-            candidates.append(linear_combination(bwd.basis, coeffs))
-        for g in candidates:
+        exhaustive = F_.char != 0 and F_.char ** len(bwd.basis) <= 2 ** 16
+        for g in _candidates(bwd.basis, F_, exhaustive, seed):
             f = _solve_left_inverse(fwd.basis, g, id_i, after_fwd)
             if f is None:
                 continue
             if after_fwd(g, f) == id_i and after_bwd(f, g) == id_j:
                 return True
-        if trials:
+        if not exhaustive:
             certain = False
         return False
 
@@ -980,6 +923,23 @@ def quotient_skeleton(functors, serre: SerreData, alg_radical: Subspace,
             classes.append([k])
             reps.append(k)
     return SkeletonReport(classes, discarded, certain)
+
+
+def _candidates(basis, F, exhaustive, seed):
+    """Elements of the span of `basis`, generated as they are tried: every
+    nonzero combination over a small F_p when `exhaustive`, else the basis
+    and then 256 combinations drawn from Random(seed)."""
+    if exhaustive:
+        for coeffs in iter_product(range(F.char), repeat=len(basis)):
+            if any(coeffs):
+                yield linear_combination(basis, [F.from_int(c) for c in coeffs])
+        return
+    yield from basis
+    rng = random.Random(seed)
+    hi = F.char if F.char else 7
+    for _ in range(256):
+        coeffs = [F.from_int(rng.randrange(hi) - (0 if F.char else 3)) for _ in basis]
+        yield linear_combination(basis, coeffs)
 
 
 def _solve_left_inverse(basis, g: Matrix, id_i: Matrix, compose):

@@ -543,21 +543,35 @@ def commuting_equations(field, shapes, squares):
     equation per entry (i, j) of X_t P - Q X_s, in row-major order, except
     the equations that are identically zero: those where row i of Q and
     column j of P are both zero, and those whose two terms cancel.  The
-    rows come from `sparse_commuting_equations`, densified: hom systems
-    fill in under elimination, so they go to the dense kernels.
+    rows are those of `sparse_commuting_equations` on the `sparse_squares`,
+    densified.
     """
-    sparse = []
+    _, total = _offsets(r * c for r, c in shapes)
+    return _densified(field, total, sparse_commuting_equations(
+        field, shapes, sparse_squares(shapes, squares)))
+
+
+def sparse_squares(shapes, squares):
+    """Squares (s, t, P, Q) of dense matrices in the form that
+    `sparse_commuting_equations` and `commuting_solutions` take:
+    (s, t, p_cols, q_rows), P by its nonzero columns and Q by its nonzero
+    rows."""
+    out = []
     for s, t, P, Q in squares:
         (rs, cs), (rt, ct) = shapes[s], shapes[t]
         if (P.rows, P.cols, Q.rows, Q.cols) != (ct, cs, rt, rs):
             raise DimensionMismatch("square does not fit blocks %d and %d" % (s, t))
         p_cols = [[(k, x) for k, x in enumerate(P.col(j)) if x] for j in range(cs)]
         q_rows = [[(l, x) for l, x in enumerate(Q.row(i)) if x] for i in range(rt)]
-        sparse.append((s, t, p_cols, q_rows))
-    _, total = _offsets(r * c for r, c in shapes)
+        out.append((s, t, p_cols, q_rows))
+    return out
+
+
+def _densified(field, total, eqs):
+    """Equations given as {column: value}, as dense lists of length total."""
     zero = field.zero()
     rows = []
-    for eq in sparse_commuting_equations(field, shapes, sparse):
+    for eq in eqs:
         row = [zero] * total
         for j, x in eq.items():
             row[j] = x
@@ -659,13 +673,17 @@ def _subtract(row, f, pairs, p):
 
 
 def commuting_solutions(field, shapes, squares):
-    """A basis of the solutions of X_t P = Q X_s for every square (s, t, P, Q),
-    each solution a tuple of blocks X_k of shape shapes[k].
+    """A basis of the solutions of X_t P = Q X_s for every square, each
+    solution a tuple of blocks X_k of shape shapes[k].  The squares are
+    (s, t, p_cols, q_rows), P and Q by their nonzero entries as in
+    `sparse_commuting_equations`; `sparse_squares` converts dense ones.
 
-    This is the kernel of `commuting_equations`, so the basis is canonical.
+    This is the kernel of those equations, densified (hom systems fill in
+    under elimination, so they go to the dense kernels); the basis is
+    canonical.
     """
     offsets, total = _offsets(r * c for r, c in shapes)
-    eqs = commuting_equations(field, shapes, squares)
+    eqs = _densified(field, total, sparse_commuting_equations(field, shapes, squares))
     sol = kernel(Matrix.from_rows(field, eqs)) if eqs else Subspace.full(field, total)
     return [tuple(Matrix(field, r, c, vec[o:o + r * c]) for (r, c), o in zip(shapes, offsets))
             for vec in sol.basis_rows()]

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, image, kernel,
-    trace_form_radical, trace_gram,
+    sparse_squares, trace_form_radical, trace_gram,
 )
 from .quiver import QuiverAlgebra, RingElement
 
@@ -189,7 +189,7 @@ def hom_space(M: Representation, N: Representation):
     squares = [(index[a.source], index[a.target], M.maps[a.name], N.maps[a.name])
                for a in M.algebra.quiver.arrows]
     return [RepMorphism(M, N, dict(zip(verts, blocks)), check=False)
-            for blocks in commuting_solutions(M.field, shapes, squares)]
+            for blocks in commuting_solutions(M.field, shapes, sparse_squares(shapes, squares))]
 
 
 def _flatten(f: RepMorphism):

@@ -76,3 +76,28 @@ def jordan_module(alg, blocks):
                 rows[off + i][off + i + 1] = field.one()
         off += size
     return Representation(alg, {"v": n}, {"t": Matrix.from_rows(field, rows)})
+
+
+def dense_action(V):
+    """The dense action matrices of a `FinModule`, one per basis element of
+    its algebra, from its sparse rows (zeros as the field's zero)."""
+    F, d = V.field, V.dim
+    out = []
+    for rows in V.sparse_action:
+        ents = [F.zero()] * (d * d)
+        for i, row in rows.items():
+            for j, x in row:
+                ents[i * d + j] = x
+        out.append(Matrix(F, d, d, tuple(ents)))
+    return tuple(out)
+
+
+def dense_act_vector(V, vec):
+    """The dense action matrix of the algebra element with coordinates vec
+    on a `FinModule`."""
+    F = V.field
+    out = Matrix.zero(F, V.dim, V.dim)
+    for c, m in zip(vec, dense_action(V)):
+        if not F.is_zero(c):
+            out = out.add(m.scale(c))
+    return out

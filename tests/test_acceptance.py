@@ -93,7 +93,7 @@ def test_criterion_4_localization_count():
         _, (P1, _, _), data, five = a2_setup()
         mods = list(five.values())
         sigma = serre_from_generator(mods, P1, data)
-        report = quotient_skeleton(mods, sigma, data.algebra.radical())
+        report = quotient_skeleton(mods, sigma)
         assert report.certain
         assert len(report.classes) == 1
         assert len(report.classes[0]) == 3

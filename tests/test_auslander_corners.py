@@ -30,7 +30,7 @@ from ppcat.rep import (
 )
 from ppcat.scalars import QQ, PrimeField
 
-from fixtures import a3_algebra, dual_numbers_algebra, jordan_module, rep
+from fixtures import a3_algebra, dense_action, dual_numbers_algebra, jordan_module, rep
 from test_funcat import _dense_associative as dense_associative
 
 F32003 = PrimeField(32003)
@@ -110,7 +110,7 @@ def oracle_relations(V, actions, nH):
     F = V.field
     nV = V.dim
     rows = []
-    for Av, P in zip(V.action, actions):
+    for Av, P in zip(dense_action(V), actions):
         for i in range(nV):
             for j in range(nH):
                 row = [F.zero()] * (nV * nH)

@@ -24,7 +24,7 @@ from ppcat.quiver import Path as QPath, RingElement, make_path
 from ppcat.rep import Representation, act
 from ppcat.scalars import QQ, PrimeField
 
-from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1
+from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1, dense_action
 from randgen import paths_up_to_len2, random_algebra_pool, random_formula, random_module
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text("utf-8"))
@@ -161,15 +161,15 @@ def test_projective_rows_and_regular_module_built_once():
     alg = a2_algebra()
     data = auslander_algebra([a2_p1(alg), a2_p2(alg), a2_s1(alg)])
     S = data.algebra
-    assert S.regular_module().action is S.regular_module().action
+    assert S.regular_module().sparse_action is S.regular_module().sparse_action
     copy = FiniteAlgebra(S.field, S.labels, S.table, S.idempotents)
     for k in range(len(S.idempotents)):
         row = projective_row(data, k)
-        assert projective_row(S, k).action is row.action
+        assert projective_row(S, k).sparse_action is row.sparse_action
         fresh = projective_row(copy, k)
-        assert (row.dim, row.action) == (fresh.dim, fresh.action)
+        assert (row.dim, dense_action(row)) == (fresh.dim, dense_action(fresh))
         top, fresh_top = simple_module(data, k), simple_module(copy, k)
-        assert (top.dim, top.action) == (fresh_top.dim, fresh_top.action)
+        assert (top.dim, dense_action(top)) == (fresh_top.dim, dense_action(fresh_top))
 
 
 def test_equal_ring_elements_hash_alike():

@@ -1,10 +1,13 @@
+import random
+from itertools import product as iter_product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcat.errors import NotSplitEndo, PpcatError
 from ppcat.funcat import (
-    FiniteAlgebra, SerreData, auslander_algebra, basic_algebra_isomorphism,
+    FiniteAlgebra, _candidates, SerreData, auslander_algebra, basic_algebra_isomorphism,
     composition_support, fin_are_isomorphic, fin_hom, fin_is_indecomposable,
     functor_eval, minimal_cotorsion, pp_functor_crosscheck, projective_row,
     qhom_compose, qhom_identity, quiver_algebra_to_finite, quotient_hom,
@@ -13,7 +16,7 @@ from ppcat.funcat import (
 from ppcat.ppform import PpPair, top_formula, zero_formula
 from ppcat.ppeval import certify_pair
 from ppcat.quiver import Arrow, Quiver, QuiverAlgebra, RingElement, make_path
-from ppcat.rep import Representation, direct_sum
+from ppcat.rep import Representation, direct_sum, hom_space, linear_combination
 from ppcat.scalars import QQ, PrimeField
 
 from fixtures import (
@@ -152,21 +155,19 @@ def test_serre_from_generator(a2_data):
 
 def test_quotient_hom_examples(a2_data):
     _, (P1, _, _), data = a2_data
-    S = data.algebra
-    rad = S.radical()
     five = five_functors(data)
     sigma = serre_from_generator(five, P1, data)
     Q2, T2, Q1 = five[0], five[3], five[2]
-    qh = quotient_hom(Q2, T2, sigma, rad)
+    qh = quotient_hom(Q2, T2, sigma)
     assert len(qh.basis) == 1
     # the epi becomes invertible: compose with a quotient inverse both ways
-    back = quotient_hom(T2, Q2, sigma, rad)
+    back = quotient_hom(T2, Q2, sigma)
     assert len(back.basis) == 1
     f, g = qh.basis[0], back.basis[0]
-    gf = qhom_compose(back, g, qh, f, rad)
-    fg = qhom_compose(qh, f, back, g, rad)
-    id_q2 = qhom_identity(Q2, sigma, rad)
-    id_t2 = qhom_identity(T2, sigma, rad)
+    gf = qhom_compose(back, g, qh, f)
+    fg = qhom_compose(qh, f, back, g)
+    id_q2 = qhom_identity(Q2, sigma)
+    id_t2 = qhom_identity(T2, sigma)
     # scale g so the composite is the identity (1-dim hom spaces)
     F = QQ
     ratio = None
@@ -175,20 +176,19 @@ def test_quotient_hom_examples(a2_data):
             ratio = F.div(a, b)
     assert ratio is not None and not F.is_zero(ratio)
     g2 = g.scale(F.inv(ratio))
-    assert qhom_compose(back, g2, qh, f, rad) == id_q2
-    assert qhom_compose(qh, f, back, g2, rad) == id_t2
+    assert qhom_compose(back, g2, qh, f) == id_q2
+    assert qhom_compose(qh, f, back, g2) == id_t2
     # Q1 is killed, so homs out of it vanish in the quotient
-    assert quotient_hom(Q1, Q2, sigma, rad).basis == []
+    assert quotient_hom(Q1, Q2, sigma).basis == []
 
 
 def test_quotient_identity(a2_data):
     _, (P1, _, _), data = a2_data
-    rad = data.algebra.radical()
     five = five_functors(data)
     sigma = serre_from_generator(five, P1, data)
     for X in five:
-        qh = quotient_hom(X, X, sigma, rad)
-        ident = qhom_identity(X, sigma, rad)
+        qh = quotient_hom(X, X, sigma)
+        ident = qhom_identity(X, sigma)
         if qh.basis:
             # the identity image lies in the hom space span
             from ppcat.linalg import Subspace
@@ -199,10 +199,9 @@ def test_quotient_identity(a2_data):
 
 def test_quotient_skeleton_localization(a2_data):
     _, (P1, _, _), data = a2_data
-    rad = data.algebra.radical()
     five = five_functors(data)
     sigma = serre_from_generator(five, P1, data)
-    report = quotient_skeleton(five, sigma, rad)
+    report = quotient_skeleton(five, sigma)
     assert report.certain
     assert sorted(len(c) for c in report.classes) == [3]
     assert sorted(report.discarded) == [2, 4]  # the S1-row and the P2-simple
@@ -210,25 +209,49 @@ def test_quotient_skeleton_localization(a2_data):
 
 def test_quotient_skeleton_trivial_sigmas(a2_data):
     _, _, data = a2_data
-    rad = data.algebra.radical()
     five = five_functors(data)
-    report = quotient_skeleton(five, SerreData(frozenset()), rad)
+    report = quotient_skeleton(five, SerreData(frozenset()))
     assert len(report.classes) == 5 and not report.discarded
-    report = quotient_skeleton(five, SerreData(frozenset({0, 1, 2})), rad)
+    report = quotient_skeleton(five, SerreData(frozenset({0, 1, 2})))
     assert not report.classes and len(report.discarded) == 5
 
 
 def test_torsion_and_minimal_fixpoints(a2_data):
     _, (P1, _, _), data = a2_data
-    rad = data.algebra.radical()
     five = five_functors(data)
     sigma = serre_from_generator(five, P1, data)
     for X in five:
-        t = torsion_part(X, sigma, rad)
+        t = torsion_part(X, sigma)
         quo, _ = X.quotient(t)
-        assert torsion_part(quo, sigma, rad).dim == 0
-        m = minimal_cotorsion(X, sigma, rad)
-        assert minimal_cotorsion(X.restrict(m), sigma, rad).dim == m.dim
+        assert torsion_part(quo, sigma).dim == 0
+        m = minimal_cotorsion(X, sigma)
+        assert minimal_cotorsion(X.restrict(m), sigma).dim == m.dim
+
+
+def listed_candidates(basis, F, seed):
+    """The candidates as `quotient_skeleton` listed them before trying any:
+    every nonzero combination over a small F_p, else the basis and 256
+    draws from Random(seed)."""
+    if F.char != 0 and F.char ** len(basis) <= 2 ** 16:
+        return [linear_combination(basis, [F.from_int(c) for c in coeffs])
+                for coeffs in iter_product(range(F.char), repeat=len(basis)) if any(coeffs)]
+    rng = random.Random(seed)
+    candidates = list(basis)
+    for _ in range(256):
+        hi = F.char if F.char else 7
+        coeffs = [F.from_int(rng.randrange(hi) - (0 if F.char else 3)) for _ in basis]
+        candidates.append(linear_combination(basis, coeffs))
+    return candidates
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3), PrimeField(32003)], ids=str)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_candidates_come_in_the_listed_order(F, seed):
+    M = jordan_module(dual_numbers_algebra(F), [(2, 0), (1, 0)])
+    basis = hom_space(M, M)
+    exhaustive = F.char != 0 and F.char ** len(basis) <= 2 ** 16
+    got = list(_candidates(basis, F, exhaustive, seed))
+    assert [g.blocks for g in got] == [g.blocks for g in listed_candidates(basis, F, seed)]
 
 
 def test_five_functors_pairwise_distinct(a2_data):
@@ -245,8 +268,6 @@ def test_exact_sequence_shadow(a2_data):
     # 0 -> Q1 -> Q2 -> T2 -> 0: the projection's image in the quotient is the
     # isomorphism found above; its kernel functor Q1 dies
     _, (P1, _, _), data = a2_data
-    S = data.algebra
-    rad = S.radical()
     five = five_functors(data)
     sigma = serre_from_generator(five, P1, data)
     Q2, T2 = five[0], five[3]
@@ -254,11 +275,11 @@ def test_exact_sequence_shadow(a2_data):
     assert len(epis) == 1
     epi = epis[0]
     # canonical quotient representative of the epi
-    x_min = minimal_cotorsion(Q2, sigma, rad)
-    t = torsion_part(T2, sigma, rad)
+    x_min = minimal_cotorsion(Q2, sigma)
+    t = torsion_part(T2, sigma)
     assert t.dim == 0 and x_min.dim == Q2.dim
     # so the representative is the epi itself, and it is invertible mod sigma:
-    qh = quotient_hom(Q2, T2, sigma, rad)
+    qh = quotient_hom(Q2, T2, sigma)
     from ppcat.linalg import Subspace
     span = Subspace.from_vectors(QQ, epi.rows * epi.cols, [m.entries for m in qh.basis])
     assert span.contains_vector(epi.entries)
@@ -273,39 +294,38 @@ def test_composition_support(a2_data):
 
 def test_quotient_composition_associative_and_unital(a2_data):
     _, (P1, _, _), data = a2_data
-    rad = data.algebra.radical()
     five = five_functors(data)
     sigma = serre_from_generator(five, P1, data)
     survivors = [five[0], five[1], five[3]]
     qhoms = {}
     for X in survivors:
         for Y in survivors:
-            qhoms[(id(X), id(Y))] = quotient_hom(X, Y, sigma, rad)
+            qhoms[(id(X), id(Y))] = quotient_hom(X, Y, sigma)
     for X in survivors:
         for Y in survivors:
             fab = qhoms[(id(X), id(Y))]
             qxx = qhoms[(id(X), id(X))]
-            idx = qhom_identity(X, sigma, rad)
+            idx = qhom_identity(X, sigma)
             for Z in survivors:
                 fbc = qhoms[(id(Y), id(Z))]
                 fac = qhoms[(id(X), id(Z))]
                 qzz = qhoms[(id(Z), id(Z))]
-                idz = qhom_identity(Z, sigma, rad)
+                idz = qhom_identity(Z, sigma)
                 for f in fab.basis:
                     for g in fbc.basis:
-                        gf = qhom_compose(fbc, g, fab, f, rad)
+                        gf = qhom_compose(fbc, g, fab, f)
                         # unit laws on both sides
-                        assert qhom_compose(qzz, idz, fac, gf, rad) == gf
-                        assert qhom_compose(fac, gf, qxx, idx, rad) == gf
+                        assert qhom_compose(qzz, idz, fac, gf) == gf
+                        assert qhom_compose(fac, gf, qxx, idx) == gf
                         # associativity against every third leg
                         for W in survivors:
                             fcd = qhoms[(id(Z), id(W))]
                             fbd = qhoms[(id(Y), id(W))]
                             fad = qhoms[(id(X), id(W))]
                             for h in fcd.basis:
-                                hg = qhom_compose(fcd, h, fbc, g, rad)
-                                lhs = qhom_compose(fbd, hg, fab, f, rad)
-                                rhs = qhom_compose(fcd, h, fac, gf, rad)
+                                hg = qhom_compose(fcd, h, fbc, g)
+                                lhs = qhom_compose(fbd, hg, fab, f)
+                                rhs = qhom_compose(fcd, h, fac, gf)
                                 assert lhs == rhs
 
 

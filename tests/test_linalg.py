@@ -155,7 +155,10 @@ def test_block_matrix_places_blocks_and_fills_zeros():
 
 
 def test_commuting_solutions_is_the_commutant():
-    from ppcat.linalg import commuting_solutions
+    from ppcat.linalg import commuting_solutions as sparse_solutions, sparse_squares
+
+    def commuting_solutions(field, shapes, squares):
+        return sparse_solutions(field, shapes, sparse_squares(shapes, squares))
     # X J = J X for a nilpotent Jordan block J of size 3: the polynomials in J
     J = mat(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     sols = commuting_solutions(QQ, [(3, 3)], [(0, 0, J, J)])

@@ -55,7 +55,7 @@ def test_funcat_works_over_f7():
             iso, certain = fin_are_isomorphic(X, five[j])
             assert not iso and certain
     sigma = serre_from_generator(five, P1, data)
-    report = quotient_skeleton(five, sigma, data.algebra.radical())
+    report = quotient_skeleton(five, sigma)
     assert report.certain
     assert sorted(len(c) for c in report.classes) == [3]
 

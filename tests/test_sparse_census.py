@@ -20,7 +20,7 @@ from ppcat.linalg import Subspace, commuting_equations, trace_form_radical, trac
 from ppcat.rep import summand_inclusion, summand_projection
 from ppcat.scalars import QQ, PrimeField
 
-from fixtures import a2_algebra, a3_algebra, d4tilde_algebra
+from fixtures import a2_algebra, a3_algebra, d4tilde_algebra, dense_act_vector, dense_action
 from test_auslander_corners import (
     densify, interval_modules, interval_subsets, keps_inputs, oracle_hom_action,
 )
@@ -34,7 +34,7 @@ SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=N
 
 
 def oracle_gram(S):
-    return trace_gram(S.field, [(m,) for m in S.regular_module().action])
+    return trace_gram(S.field, [(m,) for m in dense_action(S.regular_module())])
 
 
 def oracle_projective_row(S, k):
@@ -45,7 +45,7 @@ def oracle_projective_row(S, k):
 
 def oracle_simple_module(S, k, rad):
     row = oracle_projective_row(S, k)
-    vecs = [row.act_vector(r).row(i) for r in rad.basis_rows() for i in range(row.dim)]
+    vecs = [dense_act_vector(row, r).row(i) for r in rad.basis_rows() for i in range(row.dim)]
     return row.quotient(row.submodule(vecs))[0]
 
 
@@ -61,7 +61,7 @@ def oracle_hom_mats(data, X):
 
 def oracle_relations(V, mats, nH):
     F = V.field
-    squares = [(0, 0, P, Av) for Av, P in zip(V.action, mats)]
+    squares = [(0, 0, P, Av) for Av, P in zip(dense_action(V), mats)]
     return Subspace.from_vectors(F, V.dim * nH, commuting_equations(F, [(V.dim, nH)], squares))
 
 
@@ -84,7 +84,7 @@ def check_algebra(S):
     for k in range(len(S.idempotents)):
         for got, oracle in ((projective_row(S, k), oracle_projective_row(want, k)),
                             (simple_module(S, k), oracle_simple_module(want, k, rad))):
-            assert repr((got.dim, got.action)) == repr((oracle.dim, oracle.action))
+            assert repr((got.dim, dense_action(got))) == repr((oracle.dim, dense_action(oracle)))
 
 
 def check_census(summands, args):

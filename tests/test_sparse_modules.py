@@ -7,33 +7,39 @@
   copy of M_x, by `repr` of the densified actions.
 - `functor_eval` at a summand, dim V e_x with the relations built only when
   read, against the dense oracle and against the copy.
-- The census with the dense `FinModule.action` view refused, and with no
+- The census and the `funcat-quotient` requests with dense action input
+  refused (a `FinModule` has no dense view), and the census with no
   Hom(T, X) action built.
-- `FinModule.quotient` and `act_vector` on the sparse rows against the
-  dense formulas they replaced.
+- `FinModule.quotient`, `submodule` and `restrict`, and `fin_hom`, on the
+  sparse rows against the dense formulas they replaced, and the
+  checks of `FinModule` on dense input.
 - The shortcuts of `project` onto a prefix and of `contains` against the
   plain elimination and membership tests.
 """
 
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppcat.errors import NotASubspace
+from ppcat.cli import run
+from ppcat.errors import DimensionMismatch, NotASubspace, PpcatError
 from ppcat.funcat import (
-    AuslanderData, FiniteAlgebra, FinModule, _Actions, auslander_algebra, functor_eval,
+    AuslanderData, FiniteAlgebra, FinModule, auslander_algebra, fin_hom, functor_eval,
     projective_row, quiver_algebra_to_finite, simple_module,
 )
 from ppcat.linalg import (
-    Matrix, QuotientSpace, Subspace, contains, project, row_apply, sparse_span,
+    Matrix, QuotientSpace, Subspace, commuting_solutions, contains, project, row_apply,
+    sparse_span, sparse_squares,
 )
 from ppcat.rep import Representation
 from ppcat.scalars import QQ, PrimeField
 
-from fixtures import a3_algebra, dual_numbers_algebra, rep
+from fixtures import a3_algebra, dense_action, dual_numbers_algebra, rep
 from test_auslander_corners import densify, interval_modules, interval_subsets, keps_inputs
+from test_reports_golden import GOLDEN
 from test_sparse_census import oracle_hom_mats, oracle_relations
 
 F32003 = PrimeField(32003)
@@ -168,16 +174,17 @@ def test_summand_actions_with_a_radical_corner(F, order, t):
 
 
 @st.composite
-def summand_cases(draw):
+def summand_cases(draw, smallest=3, largest=5):
     """(Auslander data, functors): the summands are shuffled interval
-    modules of A3-A5, or the two keps modules with t in one of four bases,
-    over Q or F_32003; the functors are the projective rows, the simple tops, quotients of rows by the
+    modules of A_smallest-A_largest (A3-A5 unless given), or the two keps
+    modules with t in one of four bases, over Q or F_32003; the functors
+    are the projective rows, the simple tops, quotients of rows by the
     submodule of random vectors, and a row and a quotient in a random basis.
     In the bases the census builds every idempotent acts on coordinates;
     in a random one its nonzero action rows need not be independent."""
     F = draw(st.sampled_from([QQ, F32003]))
     if draw(st.booleans()):
-        mods = interval_modules(F, draw(st.integers(3, 5)))
+        mods = interval_modules(F, draw(st.integers(smallest, largest)))
         idx = draw(st.lists(st.integers(0, len(mods) - 1), min_size=1, max_size=5,
                             unique=True))
         summands = [mods[k] for k in idx]
@@ -213,7 +220,7 @@ def conjugated(V, entries):
         inverse = inverse.add(power)
     P = one.add(N)
     assert P.mul(inverse) == one
-    return FinModule(V.algebra, n, [P.mul(A).mul(inverse) for A in V.action])
+    return FinModule(V.algebra, n, [P.mul(A).mul(inverse) for A in dense_action(V)])
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -246,7 +253,7 @@ def test_functor_values_at_summands_build_no_hom_action(monkeypatch):
         val.relations
 
 
-# -- the census never builds the dense view ------------------------------------
+# -- no dense action is built -------------------------------------------------
 
 
 def census(inputs):
@@ -259,22 +266,45 @@ def census(inputs):
     return rows, [functor_eval(V, X, data).dim for V in rows + tops for X in inputs]
 
 
+def refuse_dense_actions(monkeypatch):
+    """A `FinModule` keeps only its sparse rows and has no dense view, so a
+    dense action can only be handed to its constructor: make that fail."""
+    init = FinModule.__init__
+
+    def sparse_only(self, algebra, dim, action, check=True):
+        action = tuple(action)
+        if any(isinstance(m, Matrix) for m in action):
+            raise AssertionError("a dense action was built")
+        init(self, algebra, dim, action, check)
+    monkeypatch.setattr(FinModule, "__init__", sparse_only)
+
+
 @pytest.mark.parametrize("F", [QQ, F32003], ids=str)
 def test_census_never_builds_the_dense_action(F, monkeypatch):
     cases = [interval_modules(F, 4)[::2], keps_inputs(F)[0], keps_summands(F, SQUARE_ZERO[1])]
     want = [census(inputs)[1] for inputs in cases]
-
-    def refuse(self):
-        raise AssertionError("the census built a dense action view")
-    monkeypatch.setattr(_Actions, "dense", property(refuse))
+    refuse_dense_actions(monkeypatch)
     for inputs, dims in zip(cases, want):
         rows, got = census(inputs)
         assert got == dims
-        with pytest.raises(AssertionError, match="dense action view"):
-            rows[0].action
+        assert not hasattr(rows[0], "action")
+    with pytest.raises(AssertionError, match="dense action"):
+        FinModule(rows[0].algebra, rows[0].dim, dense_action(rows[0]))
 
 
-# -- quotients and act_vector on the sparse rows -------------------------------
+QUOTIENT_REQUESTS = [e for e in GOLDEN if e["argv"][0] == "funcat-quotient"]
+
+
+@pytest.mark.parametrize("entry", QUOTIENT_REQUESTS,
+                         ids=[" ".join(e["argv"]) for e in QUOTIENT_REQUESTS])
+def test_quotient_requests_never_build_the_dense_action(entry, monkeypatch):
+    refuse_dense_actions(monkeypatch)
+    buf = io.StringIO()
+    assert run(list(entry["argv"]), stdout=buf) == entry["exit"]
+    assert buf.getvalue() == entry["stdout"]
+
+
+# -- module operations on the sparse rows --------------------------------------
 
 
 def dense_quotient(V, sub):
@@ -283,16 +313,37 @@ def dense_quotient(V, sub):
     q = QuotientSpace(Subspace.full(F, V.dim), sub)
     return tuple(Matrix.from_rows(F, [q.project_vector(row_apply(q.lift(i), m))
                                       for i in range(q.dim)]) if q.dim else Matrix(F, 0, 0, ())
-                 for m in V.action)
+                 for m in dense_action(V))
 
 
-def dense_act_vector(V, vec):
+def dense_submodule(V, vectors):
+    """The closure as `FinModule.submodule` took it on the dense matrices."""
     F = V.field
-    out = Matrix.zero(F, V.dim, V.dim)
-    for c, m in zip(vec, V.action):
-        if not F.is_zero(c):
-            out = out.add(m.scale(c))
-    return out
+    current = Subspace.from_vectors(F, V.dim, vectors)
+    while True:
+        vecs = list(current.basis_rows())
+        for r in current.basis_rows():
+            for m in dense_action(V):
+                vecs.append(row_apply(r, m))
+        nxt = Subspace.from_vectors(F, V.dim, vecs)
+        if nxt.dim == current.dim:
+            return nxt
+        current = nxt
+
+
+def dense_restrict(V, sub):
+    F = V.field
+    rows = sub.basis_rows()
+    return tuple(Matrix.from_rows(F, [sub.coordinates(row_apply(r, m)) for r in rows])
+                 if rows else Matrix(F, 0, 0, ()) for m in dense_action(V))
+
+
+def dense_fin_hom(X, Y):
+    """`fin_hom` on the dense squares f Y(s) = X(s) f."""
+    shapes = [(X.dim, Y.dim)]
+    squares = [(0, 0, B, A) for A, B in zip(dense_action(X), dense_action(Y))]
+    return [blocks[0] for blocks in
+            commuting_solutions(X.field, shapes, sparse_squares(shapes, squares))]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -304,17 +355,41 @@ def test_quotients_and_actions_match_the_dense_route(F, kind, data):
     reg = S.regular_module()
     V = projective_row(S, data.draw(st.integers(0, len(S.idempotents) - 1))) \
         if data.draw(st.booleans()) else reg
+    if data.draw(st.booleans()):
+        V = conjugated(V, data.draw(st.lists(st.integers(-2, 2), min_size=V.dim ** 2,
+                                             max_size=V.dim ** 2)))
     vecs = data.draw(st.lists(st.lists(coeff, min_size=V.dim, max_size=V.dim), max_size=3))
+    closure = V.submodule(vecs)
+    assert repr(closure) == repr(dense_submodule(V, vecs))
+    W = V.restrict(closure)
+    assert repr(dense_action(W)) == repr(dense_restrict(V, closure))
     # the formula is defined for any subspace, and one that is not a
     # submodule rarely lies along the coordinates
-    sub = V.submodule(vecs) if data.draw(st.booleans()) else \
-        Subspace.from_vectors(F, V.dim, vecs)
+    sub = closure if data.draw(st.booleans()) else Subspace.from_vectors(F, V.dim, vecs)
     quo, q = V.quotient(sub)
     assert (quo.dim, q.dim) == (V.dim - sub.dim, V.dim - sub.dim)
-    assert repr(quo.action) == repr(dense_quotient(V, sub))
-    for W in (V, quo):
-        vec = data.draw(st.lists(coeff, min_size=S.dim, max_size=S.dim))
-        assert repr(W.act_vector(vec)) == repr(dense_act_vector(W, vec))
+    assert repr(dense_action(quo)) == repr(dense_quotient(V, sub))
+    for X, Y in ((V, V), (W, V), (V, quo), (quo, W)):
+        assert repr(fin_hom(X, Y)) == repr(dense_fin_hom(X, Y))
+
+
+def test_dense_input_is_checked():
+    S = auslander_algebra(keps_summands(QQ, SQUARE_ZERO[2])).algebra
+    row = projective_row(S, 0)
+    mats = list(dense_action(row))
+    assert repr(dense_action(FinModule(S, row.dim, mats))) == repr(tuple(mats))
+    with pytest.raises(DimensionMismatch):
+        FinModule(S, row.dim, mats[1:])
+    with pytest.raises(DimensionMismatch):
+        FinModule(S, row.dim + 1, mats)
+    e0, r0 = S.labels.index("e0"), S.labels.index("r0_0")
+    unit = [Matrix.zero(QQ, row.dim, row.dim) if m == e0 else A for m, A in enumerate(mats)]
+    with pytest.raises(PpcatError, match="unit"):
+        FinModule(S, row.dim, unit)
+    # r0_0 is f0_1 f1_0 (up to a unit), so doubling its action breaks that product
+    bad = [A.scale(QQ.from_int(2)) if m == r0 else A for m, A in enumerate(mats)]
+    with pytest.raises(PpcatError, match="structure constants"):
+        FinModule(S, row.dim, bad)
 
 
 def test_projective_row_checks_closure_under_the_action():
