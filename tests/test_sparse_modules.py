@@ -386,7 +386,8 @@ def test_dense_input_is_checked():
     unit = [Matrix.zero(QQ, row.dim, row.dim) if m == e0 else A for m, A in enumerate(mats)]
     with pytest.raises(PpcatError, match="unit"):
         FinModule(S, row.dim, unit)
-    # r0_0 is f0_1 f1_0 (up to a unit), so doubling its action breaks that product
+    # f0_1 f1_0 is a nonzero multiple of r0_0, so doubling the action of r0_0
+    # breaks that product
     bad = [A.scale(QQ.from_int(2)) if m == r0 else A for m, A in enumerate(mats)]
     with pytest.raises(PpcatError, match="structure constants"):
         FinModule(S, row.dim, bad)
