@@ -61,6 +61,15 @@ class NotMono(PpcatError):
     pass
 
 
+class IsomorphicSummands(PpcatError):
+    """Two summands of an Auslander construction are isomorphic, so their
+    endomorphism algebra is not basic."""
+
+    def __init__(self, i, k):
+        self.pair = (i, k)
+        super().__init__("summands %d and %d are isomorphic" % (i, k))
+
+
 class ParseError(PpcatError):
     """Syntax error with the position of the offending token."""
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain, product as iter_product
 
 from .errors import (
-    AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, NotASubspace, NotSplitEndo,
-    PpcatError,
+    AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, IsomorphicSummands, NotASubspace,
+    NotSplitEndo, PpcatError,
 )
 from .linalg import (
     Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel,
@@ -137,8 +137,11 @@ class FiniteAlgebra:
         return FinModule(self, self.dim, self._regular, check=False)
 
     def radical(self) -> Subspace:
-        """Radical as a subspace of the coordinate space, via the trace form
-        of the regular representation (char 0 or char > dim); computed once."""
+        """Radical as a subspace of the coordinate space (char 0 or char >
+        dim); computed once, via the trace form of the regular
+        representation, unless the algebra's construction stored it:
+        `auslander_algebra` does, the radical of a basic Auslander algebra
+        being the span of its non-idempotent basis elements."""
         F = self.field
         d = self.dim
         if F.char != 0 and F.char <= d:
@@ -246,6 +249,8 @@ class FiniteAlgebra:
         d = c.dim
         if F.char != 0 and F.char <= d:
             raise CharacteristicTooSmall("corner check needs larger characteristic")
+        if d == 1:  # a 1-dimensional unital algebra is K
+            return 1
         rows = [self._sparse(r) for r in c.basis_rows()]
         mats = [Matrix.from_rows(F, [c.coordinates(self._dense(self._sparse_mul(b, r)))
                                      for b in rows]) for r in rows]
@@ -450,6 +455,8 @@ def fin_is_indecomposable(X: FinModule) -> bool:
     d = len(basis)
     if F.char != 0 and F.char <= max(d, X.dim):
         raise CharacteristicTooSmall("characteristic too small for dim End = %d" % d)
+    if d == 1:  # End(X) = K
+        return True
     return d - trace_form_radical(trace_gram(F, [(f,) for f in basis])).dim == 1
 
 
@@ -557,6 +564,15 @@ def auslander_algebra(indecomposables) -> AuslanderData:
     b o a, composed on the summands, with coordinates read over the corner
     (i, k); products of basis elements whose corners do not meet are zero.
     The `hom_space` bases of all pairs, End(M) included, are kept in `homs`.
+
+    The summands must be pairwise non-isomorphic.  For f: M_i -> M_k and
+    g: M_k -> M_i, the e_i-coordinate of g o f is its residue in
+    End(M_i)/rad, and End(M_i) being local, some basis pair has a nonzero
+    one exactly when M_i and M_k are isomorphic.  So one scan of the
+    constants certifies S basic, or raises IsomorphicSummands naming the
+    pair, and the radical is then the categorical one, every Hom(M_i, M_k)
+    with i != k and each rad End(M_i): the span of the non-idempotent basis
+    elements, stored as the algebra's radical.
     """
     summands = list(indecomposables)
     if not summands:
@@ -612,12 +628,19 @@ def auslander_algebra(indecomposables) -> AuslanderData:
                     cell = [(base + m, c) for m, c in enumerate(coordinates(b.compose(a))) if c]
                     if cell:
                         constants[x, y] = cell
+    is_idempotent = set(idempotent_positions)
+    for (x, _), cell in constants.items():
+        if x not in is_idempotent and any(m in is_idempotent for m, _ in cell):
+            i, k, _ = basis_morphisms[x]
+            raise IsomorphicSummands(i, k)
     idempotents = []
     for pos in idempotent_positions:
         z = [F.zero()] * len(labels)
         z[pos] = F.one()
         idempotents.append(tuple(z))
     algebra = FiniteAlgebra(F, labels, constants, idempotents)
+    algebra._radical = sparse_span(F, len(labels), [
+        {m: F.one()} for m in range(len(labels)) if m not in is_idempotent])
     return AuslanderData(algebra, summands, T, basis_morphisms, homs)
 
 

@@ -114,7 +114,12 @@ class RepMorphism:
         """self o other (other applied first)."""
         if other.target is not self.source and other.target != self.source:
             raise AlgebraMismatch("morphisms do not compose")
-        blocks = {v: self.blocks[v].mul(other.blocks[v]) for v in self.blocks}
+        blocks = {}
+        for v, a in self.blocks.items():
+            b = other.blocks[v]
+            # a block with an empty side or inner dimension is zero, unmultiplied
+            blocks[v] = a.mul(b) if a.rows and a.cols and b.cols \
+                else Matrix.zero(a.field, a.rows, b.cols)
         return RepMorphism(other.source, self.target, blocks, check=False)
 
     def add(self, other):
@@ -301,7 +306,8 @@ def endo_radical(M: Representation, basis=None) -> Subspace:
     The characteristic must exceed both dim End(M) and the total dimension
     of M: the form is a sum of simple traces weighted by multiplicities
     bounded by dim M, and any of those weights vanishing mod p would fold
-    semisimple directions into the kernel.
+    semisimple directions into the kernel.  A one-dimensional End(M) is K,
+    with radical zero, and takes no trace form (the gate still applies).
     """
     if basis is None:
         basis = hom_space(M, M)
@@ -311,6 +317,8 @@ def endo_radical(M: Representation, basis=None) -> Subspace:
         raise CharacteristicTooSmall(
             "characteristic %d too small for dim End = %d on a %d-dimensional module"
             % (F.char, d, M.total_dim()))
+    if d == 1:
+        return Subspace.zero(F, 1)
     return trace_form_radical(trace_gram(F, [f.blocks.values() for f in basis]))
 
 

@@ -253,6 +253,14 @@ def test_exit_code_2_on_algebra_mismatch():
     assert doc["error_kind"] == "AlgebraMismatch"
 
 
+def test_exit_code_2_on_isomorphic_summands():
+    code, doc, _ = invoke(["funcat-auslander", "--builtin", "a2", "--modules", "P1,P2,S1,P1"])
+    assert code == 2
+    assert doc["error_kind"] == "IsomorphicSummands"
+    assert doc["error"] == "summands 0 and 3 are isomorphic"
+    assert "dim" not in doc
+
+
 def test_exit_code_2_on_duplicate_vertex(tmp_path):
     f = tmp_path / "dup.ppc"
     f.write_text("field Q;\nquiver A { vertices 1 1; }\n")
