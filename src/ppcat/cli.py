@@ -151,7 +151,12 @@ def resolve_seed(args):
     if args.seed is not None:
         return args.seed
     env = os.environ.get("PPCAT_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("PPCAT_SEED must be an integer, not %r" % env) from None
 
 
 def default_test_modules(alg, bound):
@@ -485,26 +490,34 @@ COMMANDS = {
 def run(argv=None, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    seed = resolve_seed(args)
+    seed = 0  # what a report gives when PPCAT_SEED itself is refused
     inputs = {k: v for k, v in sorted(vars(args).items())
               if k not in ("command", "out") and v not in (None, [], False)}
+
+    def error(e):
+        return {"error": str(e), "error_kind": type(e).__name__}
 
     def emit(payload, flags, code):
         text = emit_report(args.command, inputs, payload, seed=seed, **flags)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as e:
+                stdout.write(emit_report(args.command, inputs, error(e), seed=seed))
+                return 2
         else:
             stdout.write(text)
         return code
 
     try:
+        seed = resolve_seed(args)
         ws = load_workspace(args)
         payload, flags = COMMANDS[args.command](args, ws, seed)
     except PRECONDITION_ERRORS as e:
-        return emit({"error": str(e), "error_kind": type(e).__name__}, {}, 3)
+        return emit(error(e), {}, 3)
     except INPUT_ERRORS as e:
-        return emit({"error": str(e), "error_kind": type(e).__name__}, {}, 2)
+        return emit(error(e), {}, 2)
     return emit(payload, flags, 0)
 
 

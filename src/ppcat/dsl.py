@@ -82,6 +82,10 @@ class Token:
     col: int
 
 
+# decimal digits only: str.isdigit also accepts superscripts, which int() refuses
+DIGITS = frozenset("0123456789")
+
+
 def tokenize(text):
     toks = []
     line, col = 1, 1
@@ -110,9 +114,9 @@ def tokenize(text):
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i

@@ -517,11 +517,9 @@ class AuslanderData:
         F = X.field
         T = self.sum_rep
         verts = X.algebra.quiver.vertices
-        # the canonical basis of Hom(M_i, X) per summand, already at hand when
-        # X is a summand
-        x_index = next((k for k, N in enumerate(self.summands) if N is X), None)
-        parts = [hom_space(M, X) if x_index is None else self.homs[i, x_index]
-                 for i, M in enumerate(self.summands)]
+        # the canonical basis of Hom(M_i, X) per summand, which M_i remembers
+        # when X is a summand
+        parts = [hom_space(M, X) for M in self.summands]
         col_dims = {v: [M.dims[v] for M in self.summands] for v in verts}
 
         def pivot(h):  # the first nonzero unknown of Hom(T, X) in h

@@ -9,6 +9,7 @@ application order.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -43,6 +44,8 @@ class Representation:
         self.maps = full
         self._path_matrices = {}  # memo of act: Path -> its matrix on this module
         self._formula_values = {}  # memo of ppeval.eval_formula: PpFormula -> value
+        # memo of hom_space(self, N): id(N) -> (weak reference to N, solution blocks)
+        self._homs = {}
         if check:
             for rel in algebra.relations:
                 if not act(self, rel).is_zero():
@@ -185,16 +188,39 @@ def _path_matrix(m: Representation, path) -> Matrix:
 
 def hom_space(M: Representation, N: Representation):
     """A basis of Hom(M, N): blocks f_v (dim N_v x dim M_v) with
-    f_t M(a) = N(a) f_s for every arrow a: s -> t."""
+    f_t M(a) = N(a) f_s for every arrow a: s -> t.
+
+    The system is solved once per pair of objects: M keeps the solution
+    blocks keyed by the identity of N, which it holds only weakly, and each
+    call returns a fresh list of fresh morphisms built from them."""
     if M.algebra != N.algebra:
         raise AlgebraMismatch("hom between representations of different algebras")
     verts = M.algebra.quiver.vertices
-    index = {v: k for k, v in enumerate(verts)}
-    shapes = [(N.dims[v], M.dims[v]) for v in verts]
-    squares = [(index[a.source], index[a.target], M.maps[a.name], N.maps[a.name])
-               for a in M.algebra.quiver.arrows]
-    return [RepMorphism(M, N, dict(zip(verts, blocks)), check=False)
-            for blocks in commuting_solutions(M.field, shapes, sparse_squares(shapes, squares))]
+    key = id(N)
+    hit = M._homs.get(key)
+    if hit is not None and hit[0]() is N:
+        solutions = hit[1]
+    else:
+        index = {v: k for k, v in enumerate(verts)}
+        shapes = [(N.dims[v], M.dims[v]) for v in verts]
+        squares = [(index[a.source], index[a.target], M.maps[a.name], N.maps[a.name])
+                   for a in M.algebra.quiver.arrows]
+        solutions = tuple(commuting_solutions(M.field, shapes, sparse_squares(shapes, squares)))
+        M._homs[key] = (weakref.ref(N, _hom_dropper(M, key)), solutions)
+    return [RepMorphism(M, N, dict(zip(verts, blocks)), check=False) for blocks in solutions]
+
+
+def _hom_dropper(M: Representation, key):
+    """The weakref callback that removes M's hom_space entry under `key` when
+    its target dies.  It holds M weakly too, so no reference cycle keeps M
+    alive, and a module paired with many short-lived ones does not grow."""
+    source = weakref.ref(M)
+
+    def drop(_):
+        m = source()
+        if m is not None:
+            m._homs.pop(key, None)
+    return drop
 
 
 def _flatten(f: RepMorphism):

@@ -62,6 +62,40 @@ def test_exit_code_2_on_parse_error(tmp_path):
     assert doc["error_kind"] == "ParseError"
 
 
+def test_exit_code_2_on_non_decimal_digit(tmp_path):
+    # '²' passes str.isdigit but not int(): it must be refused where it stands
+    bad = tmp_path / "bad.ppc"
+    bad.write_text("quiver Q { vertices 1; }\nalgebra A { quiver Q; }\n"
+                   "module M over A {\n  dim 1 = \u00b2;\n}\n", encoding="utf-8")
+    code, doc, _ = invoke(["eval", "--file", str(bad), "--formula", "x", "--module", "M"])
+    assert code == 2
+    assert doc["error_kind"] == "ParseError"
+    assert doc["error"] == "4:11: expected a token, found '\u00b2'"
+
+
+def test_exit_code_2_on_malformed_seed_variable(monkeypatch):
+    monkeypatch.setenv("PPCAT_SEED", "abc")
+    code, doc, _ = invoke(["eval", "--builtin", "a2", "--formula", "ann_a", "--module", "S1"])
+    assert code == 2
+    assert doc["error_kind"] == "ValueError"
+    assert "PPCAT_SEED" in doc["error"]
+    monkeypatch.setenv("PPCAT_SEED", "7")
+    code, doc, _ = invoke(["eval", "--builtin", "a2", "--formula", "ann_a", "--module", "S1"])
+    assert code == 0 and doc["seed"] == "7"
+
+
+def test_exit_code_2_on_unwritable_out(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, doc, _ = invoke(["eval", "--builtin", "a2", "--formula", "ann_a", "--module", "S1",
+                           "--out", str(out)])
+    assert code == 2
+    assert doc["error_kind"] == "FileNotFoundError"
+    assert not out.exists()
+    code, doc, _ = invoke(["eval", "--builtin", "a2", "--formula", "nope", "--module", "S1",
+                           "--out", str(out)])
+    assert code == 2 and doc["error_kind"] == "FileNotFoundError"
+
+
 def test_exit_code_3_on_not_admissible(tmp_path):
     f = tmp_path / "kt.ppc"
     f.write_text("""

@@ -2,7 +2,7 @@
 
 - `linalg.sparse_span` of rows given as {column: value} against
   `Subspace.from_vectors` of the densified rows, by `repr`.
-- The Hom(T, M_x) actions of a summand M_x, built on the kept `homs`,
+- The Hom(T, M_x) actions of a summand M_x, built on the remembered bases,
   against the dense oracle composed on T and against a structurally equal
   copy of M_x, by `repr` of the densified actions.
 - `functor_eval` at a summand, dim V e_x with the relations built only when
