@@ -1,8 +1,10 @@
 """Command-line driver: load .ppc files, dispatch operations, write reports.
 
 Exit codes: 0 for any computed verdict (including negative ones), 2 for input
-errors (parse failures, unresolved names, malformed data), 3 for precondition
-violations (non-admissible algebra, uncertified pair, non-mono, ...).
+errors (parse failures, unresolved names, malformed data, a command line that
+does not parse), 3 for precondition violations (non-admissible algebra,
+uncertified pair, non-mono, ...).  Each of them writes a JSON report; only
+`--help` exits 0 with none.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .dsl import Decl, Workspace, emit_report, load_builtin, parse_file, print_i
 from .errors import (
     CharacteristicTooSmall, InducedMapUndefined, NotASubspace, NotAdmissible,
     NotMono, NotSplitEndo, NotValidated, PpcatError, SortMismatch,
-    UncertifiedPair, UnresolvedReference, UnsupportedRelation, ZeroModule,
+    UncertifiedPair, UnresolvedReference, UnsupportedRelation, UsageError, ZeroModule,
 )
 from .interp import apply as interp_apply
 from .interp import check_rep_embedding, validate
@@ -40,13 +42,23 @@ PRECONDITION_ERRORS = (NotAdmissible, UncertifiedPair, NotMono, CharacteristicTo
                        UnsupportedRelation, SortMismatch, NotASubspace)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that, on a command line it cannot parse, prints
+    the usage and the error on stderr as argparse does, then raises
+    `UsageError` instead of exiting, so that `run` writes a report."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing only reads it, and
     each parse returns a fresh namespace (argparse copies the `append` defaults
     before appending, and no command changes a list on `args`)."""
-    p = argparse.ArgumentParser(prog="ppcat",
-                                description="exact pp-formula computations")
+    p = _Parser(prog="ppcat", description="exact pp-formula computations")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -489,13 +501,21 @@ COMMANDS = {
 
 def run(argv=None, stdout=None):
     stdout = stdout if stdout is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    seed = 0  # what a report gives when PPCAT_SEED itself is refused
-    inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("command", "out") and v not in (None, [], False)}
+    argv = sys.argv[1:] if argv is None else list(argv)
 
     def error(e):
         return {"error": str(e), "error_kind": type(e).__name__}
+
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        # the report names the command when the first word is one
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        stdout.write(emit_report(command, {"argv": argv}, error(e)))
+        return 2
+    seed = 0  # what a report gives when PPCAT_SEED itself is refused
+    inputs = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("command", "out") and v not in (None, [], False)}
 
     def emit(payload, flags, code):
         text = emit_report(args.command, inputs, payload, seed=seed, **flags)

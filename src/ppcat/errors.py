@@ -70,6 +70,11 @@ class IsomorphicSummands(PpcatError):
         super().__init__("summands %d and %d are isomorphic" % (i, k))
 
 
+class UsageError(PpcatError):
+    """The command line does not parse: an unknown command, or an option
+    missing, malformed or not known."""
+
+
 class ParseError(PpcatError):
     """Syntax error with the position of the offending token."""
 

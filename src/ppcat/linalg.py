@@ -4,14 +4,19 @@ Matrices are immutable, row-major, over one of the fields from `scalars`.
 A Subspace stores the unique reduced row-echelon basis of its row space, so
 two subspaces are equal iff their stored bases are identical.
 
-All elimination (rref, rank, kernel, Solver and solve, intersect,
-Subspace.from_vectors) goes through `rref_with_pivots`, which runs one row
-kernel per field, chosen by the characteristic, with no scalar call through
-the field object:
+All dense elimination (rref, rank, kernel, Solver and solve, intersect,
+Subspace.from_vectors, the hom systems of `commuting_solutions`) runs one
+row kernel per field, chosen by the characteristic, with no scalar call
+through the field object:
 
 - over Q, fraction-free Gauss-Jordan on primitive integer rows, in the
-  spirit of Bareiss (1968); each output entry becomes a `Fraction` once;
-- over F_p, Gauss-Jordan on rows of plain ints reduced mod p.
+  spirit of Bareiss (1968), by one integer core (`_eliminate`) that
+  `rref_with_pivots` and `kernel` share: `rref_with_pivots` makes each
+  entry of the RREF a `Fraction` once, and `kernel` builds each entry of
+  its basis once, straight from the integer rows.  The hom systems are
+  built as int rows, so no `Fraction` is made before their basis;
+- over F_p, Gauss-Jordan on rows of plain ints reduced mod p, in
+  `rref_with_pivots`.
 
 Both do no arithmetic on a row whose pivot-column entry is zero, and
 subtract only on the pivot row's nonzero columns.  The output is the
@@ -75,13 +80,14 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
-    def is_zero(self):
-        F = self.field
-        return all(F.is_zero(x) for x in self.entries)
+    # is_zero, add, sub, neg and scale run one loop per field, with the
+    # operators the field's own methods use: plain ints reduced once per entry
+    # over F_p, the values' own operators over Q (so entries keep their values
+    # and types)
 
-    # add, sub, neg and scale run one loop per field, with the operators the
-    # field's own methods use: plain ints reduced once per entry over F_p, the
-    # values' own operators over Q (so entries keep their values and types)
+    def is_zero(self):
+        p = self.field.char
+        return not any(x % p for x in self.entries) if p else not any(self.entries)
 
     def add(self, other):
         self._check_shape(other)
@@ -258,24 +264,55 @@ def _gauss_jordan_q(a, ncols):
     """Reduce the rational rows `a` to RREF in place (each becomes a list of
     Fractions); return the pivot columns.
 
-    Each row is scaled to a primitive integer vector, and elimination runs on
-    ints: a row with entry f in the pivot column becomes
+    The rows are made primitive integer vectors (`_primitive`) and reduced
+    by the integer core (`_eliminate`); each entry of the RREF is then built
+    once, as a `Fraction` of a row entry over the row's head.
+    """
+    for i, row in enumerate(a):
+        a[i] = _primitive(row)
+    pivots, heads = _eliminate(a, ncols)
+    zero, one = Fraction(0), Fraction(1)
+    taken = set(pivots)
+    free = [j for j in range(ncols) if j not in taken]
+    for i, row in enumerate(a):
+        out = [zero] * ncols
+        if i < len(pivots):
+            out[pivots[i]] = one
+            h = heads[i]
+            for j, x in zip(free, row):
+                if x:
+                    out[j] = Fraction(x, h)
+        a[i] = out
+    return pivots
+
+
+def _primitive(row):
+    """The primitive integer vector that is a positive multiple of `row`, a
+    sequence of ints or Fractions, as a list."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        row = [x.numerator for x in row]
+    else:
+        row = [x.numerator * (d // x.denominator) for x in row]
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _eliminate(a, ncols):
+    """Fraction-free Gauss-Jordan on the primitive integer rows `a`, in
+    place; returns the pivot columns and, for each pivot row, its head.
+
+    A row with entry f in the pivot column becomes
     (piv/g)*row - (f/g)*pivot_row, with g = gcd(piv, f), and is then divided
     by its content.  A row is thus always the primitive multiple of a
     canonical rational vector, so entries stay as small as the data allows.
     Once a column is a pivot column it is dropped from every row, and the
-    pivot row keeps its entry there in `heads`: later scalings then touch
-    only the columns still in play.  Fractions are built once, at the end.
+    pivot row keeps its entry there, positive, in `heads`: later scalings
+    then touch only the columns still in play.  So in the end row i < rank
+    holds the entries of the RREF's row i in its free columns, in order,
+    times heads[i]; the other rows are zero.
     """
     nrows = len(a)
-    for i, row in enumerate(a):
-        d = lcm(*[x.denominator for x in row])
-        if d == 1:
-            row = [x.numerator for x in row]
-        else:
-            row = [x.numerator * (d // x.denominator) for x in row]
-        g = gcd(*row)
-        a[i] = row if g < 2 else [x // g for x in row]
     pivots = []
     heads = []
     for c in range(ncols):
@@ -319,19 +356,7 @@ def _gauss_jordan_q(a, ncols):
         heads.append(piv)
         if r + 1 == nrows:
             break
-    zero, one = Fraction(0), Fraction(1)
-    taken = set(pivots)
-    free = [j for j in range(ncols) if j not in taken]
-    for i, row in enumerate(a):
-        out = [zero] * ncols
-        if i < len(pivots):
-            out[pivots[i]] = one
-            h = heads[i]
-            for j, x in zip(free, row):
-                if x:
-                    out[j] = Fraction(x, h)
-        a[i] = out
-    return pivots
+    return pivots, heads
 
 
 def rref(m: Matrix) -> Matrix:
@@ -435,8 +460,9 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        F = self.field
-        return all(F.is_zero(x) for x in self.reduce_vector(vec))
+        p, v = self.field.char, self.reduce_vector(vec)
+        # a vector that nothing is subtracted from comes back unreduced
+        return not any(x % p for x in v) if p else not any(v)
 
     def coordinates(self, vec):
         """Coordinates of vec over the RREF basis; raises if not a member."""
@@ -512,31 +538,46 @@ def kernel(m: Matrix) -> Subspace:
     Taken by increasing c, these vectors are the canonical RREF basis of the
     kernel.
     """
-    F, n = m.field, m.cols
-    flipped = Matrix(F, m.rows, n,
-                     tuple(chain.from_iterable(m.row(i)[::-1] for i in range(m.rows))))
-    red, pivots = rref_with_pivots(flipped)
-    zero, one, neg = F.zero(), F.one(), F.neg
+    flipped = [m.row(i)[::-1] for i in range(m.rows)]
+    return _flipped_kernel(m.field, m.cols,
+                           flipped if m.field.char else [_primitive(r) for r in flipped])
+
+
+def _flipped_kernel(F, n, flipped):
+    """`kernel` of the matrix with n columns whose rows, each reversed, are
+    `flipped`: over Q, primitive int lists, which the integer core reduces
+    in place, and each entry -x/head of the basis is built once, as a
+    `Fraction`; over F_p, ints, whose RREF comes from `rref_with_pivots`."""
+    p = F.char
+    if p:
+        red, pivots = rref_with_pivots(Matrix(F, len(flipped), n,
+                                              tuple(chain.from_iterable(flipped))))
+        a = [red.row(i) for i in range(len(pivots))]
+    else:
+        a = flipped
+        pivots, heads = _eliminate(a, n)
+    zero, one = F.zero(), F.one()
     taken = set(pivots)
+    free = [j for j in range(n) if j not in taken]
     vecs = []
-    for fcol in reversed(range(n)):
-        if fcol in taken:
-            continue
+    for k in reversed(range(len(free))):
+        fcol = free[k]
+        at = fcol if p else k  # the core keeps only the free columns
         v = [zero] * n
         v[n - 1 - fcol] = one
         for i, pc in enumerate(pivots):
             if pc > fcol:
                 break
-            x = red.entries[i * n + fcol]
+            x = a[i][at]
             if x:
-                v[n - 1 - pc] = neg(x)
+                v[n - 1 - pc] = -x % p if p else Fraction(-x, heads[i])
         vecs.extend(v)
-    return Subspace(n, Matrix(F, len(vecs) // n if n else 0, n, tuple(vecs)))
+    return Subspace(n, Matrix(F, len(free), n, tuple(vecs)))
 
 
 def commuting_equations(field, shapes, squares):
     """The rows of the linear system X_t P = Q X_s, one square (s, t, P, Q)
-    after another, as dense lists.
+    after another, as dense lists of ints.
 
     The unknowns are the entries of the blocks X_k, of shape shapes[k], each
     block row-major and the blocks in order; each square contributes one
@@ -547,7 +588,7 @@ def commuting_equations(field, shapes, squares):
     densified.
     """
     _, total = _offsets(r * c for r, c in shapes)
-    return _densified(field, total, sparse_commuting_equations(
+    return _densified(total, sparse_commuting_equations(
         field, shapes, sparse_squares(shapes, squares)))
 
 
@@ -567,12 +608,11 @@ def sparse_squares(shapes, squares):
     return out
 
 
-def _densified(field, total, eqs):
-    """Equations given as {column: value}, as dense lists of length total."""
-    zero = field.zero()
+def _densified(total, eqs):
+    """Equations given as {column: int}, as dense int lists of length total."""
     rows = []
     for eq in eqs:
-        row = [zero] * total
+        row = [0] * total
         for j, x in eq.items():
             row[j] = x
         rows.append(row)
@@ -584,11 +624,24 @@ def sparse_commuting_equations(field, shapes, squares):
     their nonzero entries: p_cols[j] lists the (k, x) with P[k][j] = x != 0,
     for every column j of P, and q_rows[i] the (l, x) with Q[i][l] = x != 0,
     for every row i of Q.  Yields each equation as a dict from column to its
-    nonzero value, a field element made by the field's own `add` and `sub`,
-    in the order of the rows of `commuting_equations`."""
+    nonzero value, an int, in the order of the rows of `commuting_equations`.
+
+    Over Q each square's P and Q are first scaled by the lcm of all their
+    denominators, which changes no solution; the rows are then built with
+    plain int + and -, and each is divided by its gcd, so it is primitive.
+    Over F_p the entries are ints already, and the rows are left unreduced:
+    the F_p kernel and `sparse_span` reduce on entry.
+    """
     offsets, _ = _offsets(r * c for r, c in shapes)
-    add, sub, zero = field.add, field.sub, field.zero()
+    q = not field.char
     for s, t, p_cols, q_rows in squares:
+        if q:
+            d = lcm(*[x.denominator for part in (p_cols, q_rows) for pairs in part
+                      for _, x in pairs])
+            p_cols = [[(k, x.numerator * (d // x.denominator)) for k, x in pairs]
+                      for pairs in p_cols]
+            q_rows = [[(l, x.numerator * (d // x.denominator)) for l, x in pairs]
+                      for pairs in q_rows]
         cs, ct = shapes[s][1], shapes[t][1]
         os_, ot = offsets[s], offsets[t]
         every_col = list(enumerate(p_cols))
@@ -596,17 +649,19 @@ def sparse_commuting_equations(field, shapes, squares):
         for i, q_row in enumerate(q_rows):
             base = ot + i * ct
             for j, p_col in every_col if q_row else nonzero_cols:
-                row = {base + k: add(zero, x) for k, x in p_col}
+                row = {base + k: x for k, x in p_col}
                 # the terms meet only at X_s[i][j] of a square with s = t
                 for l, x in q_row:
                     col = os_ + l * cs + j
-                    y = sub(row.get(col, zero), x)
+                    y = row.get(col, 0) - x
                     if y:
                         row[col] = y
                     else:
                         row.pop(col, None)
-                if row:
-                    yield row
+                if not row:
+                    continue
+                g = gcd(*row.values()) if q else 1
+                yield {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 def sparse_span(field, ncols, rows):
@@ -678,13 +733,14 @@ def commuting_solutions(field, shapes, squares):
     (s, t, p_cols, q_rows), P and Q by their nonzero entries as in
     `sparse_commuting_equations`; `sparse_squares` converts dense ones.
 
-    This is the kernel of those equations, densified (hom systems fill in
-    under elimination, so they go to the dense kernels); the basis is
-    canonical.
+    This is the kernel of those int equations, densified (hom systems fill
+    in under elimination, so they go to the dense kernels) with their
+    columns reversed, as `kernel` takes them: over Q no `Fraction` is built
+    before the basis.  The basis is canonical, each entry a field element.
     """
     offsets, total = _offsets(r * c for r, c in shapes)
-    eqs = _densified(field, total, sparse_commuting_equations(field, shapes, squares))
-    sol = kernel(Matrix.from_rows(field, eqs)) if eqs else Subspace.full(field, total)
+    eqs = _densified(total, sparse_commuting_equations(field, shapes, squares))
+    sol = _flipped_kernel(field, total, [row[::-1] for row in eqs])
     return [tuple(Matrix(field, r, c, vec[o:o + r * c]) for (r, c), o in zip(shapes, offsets))
             for vec in sol.basis_rows()]
 

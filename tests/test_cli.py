@@ -381,3 +381,27 @@ def test_exit_code_2_on_dimension_above_the_cap(tmp_path, monkeypatch, dim):
     assert code == 2
     assert doc["error_kind"] == "ParseError"
     assert doc["error"] == "4:27: expected a dimension of at most 4096, found '%s'" % dim
+
+
+@pytest.mark.parametrize("argv, command, message", [
+    (["eval", "--builtin", "a2", "--formula", "ann_a", "--module", "S1", "--seed", "abc"],
+     "eval", "argument --seed: invalid int value: 'abc'"),
+    (["eval", "--builtin", "a2", "--module", "S1"],
+     "eval", "the following arguments are required: --formula"),
+    (["frobnicate", "--builtin", "a2"], None, "argument command: invalid choice: 'frobnicate'"),
+])
+def test_exit_code_2_on_unparsable_command_line(capsys, argv, command, message):
+    code, doc, _ = invoke(argv)
+    assert code == 2
+    assert doc["error_kind"] == "UsageError"
+    assert doc["error"].startswith(message)
+    assert doc["command"] == command and doc["inputs"] == {"argv": argv}
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ppcat") and message in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["eval", "--help"], stdout=io.StringIO())
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ppcat eval")

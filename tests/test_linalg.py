@@ -117,6 +117,20 @@ def test_subspace_canonical_equality():
     assert hash(a) == hash(b)
 
 
+def test_zero_tests_read_unreduced_ints_modulo_p():
+    F3 = PrimeField(3)
+    # a vector that nothing is subtracted from comes back from reduce_vector as given
+    assert Subspace.zero(F3, 2).contains_vector((3, -6))
+    assert not Subspace.zero(F3, 2).contains_vector((3, 1))
+    line = Subspace.from_vectors(F3, 2, [(1, 1)])
+    assert line.contains_vector((4, 7)) and not line.contains_vector((4, 6))
+    assert Matrix(F3, 1, 2, (3, -3)).is_zero() and not Matrix(F3, 1, 2, (3, 4)).is_zero()
+    assert Matrix(QQ, 1, 2, (Fraction(0), 0)).is_zero()
+    assert not Matrix(QQ, 1, 2, (Fraction(0), Fraction(1, 3))).is_zero()
+    assert Subspace.zero(QQ, 2).contains_vector((Fraction(0), 0))
+    assert not Subspace.zero(QQ, 2).contains_vector((Fraction(0), Fraction(-1, 2)))
+
+
 def test_solve_and_preimage():
     m = mat(QQ, [[1, 1], [0, 1]])
     x = solve(m, (QQ.from_int(3), QQ.from_int(1)))
