@@ -536,7 +536,9 @@ def kernel(m: Matrix) -> Subspace:
     a row of the RREF is nonzero only at and after its pivot, so in the
     original column order that vector has entries only to the right of c.
     Taken by increasing c, these vectors are the canonical RREF basis of the
-    kernel.
+    kernel.  Over Q that RREF is never built as `Fraction`s: the integer
+    core leaves each of its rows as ints over a head, and each entry of the
+    basis is built once from them.
     """
     flipped = [m.row(i)[::-1] for i in range(m.rows)]
     return _flipped_kernel(m.field, m.cols,
@@ -633,9 +635,9 @@ def sparse_commuting_equations(field, shapes, squares):
     the F_p kernel and `sparse_span` reduce on entry.
     """
     offsets, _ = _offsets(r * c for r, c in shapes)
-    q = not field.char
+    over_q = not field.char
     for s, t, p_cols, q_rows in squares:
-        if q:
+        if over_q:
             d = lcm(*[x.denominator for part in (p_cols, q_rows) for pairs in part
                       for _, x in pairs])
             p_cols = [[(k, x.numerator * (d // x.denominator)) for k, x in pairs]
@@ -660,7 +662,7 @@ def sparse_commuting_equations(field, shapes, squares):
                         row.pop(col, None)
                 if not row:
                     continue
-                g = gcd(*row.values()) if q else 1
+                g = gcd(*row.values()) if over_q else 1
                 yield {j: x // g for j, x in row.items()} if g > 1 else row
 
 
