@@ -19,7 +19,7 @@ from .interp import (
 )
 from .funcat import (
     FinModule, FiniteAlgebra, auslander_algebra, functor_eval, pp_functor_crosscheck,
-    projective_row, quotient_hom, quotient_skeleton, serre_from_generator,
+    projective_row, quotient_modules, quotient_skeleton, serre_from_generator,
     simple_module, SerreData,
 )
 from .tensor import purity_pp, purity_tensor, tensor

@@ -465,9 +465,10 @@ def cmd_funcat_quotient(args, ws, seed):
     n = len(S.idempotents)
     functors = [("row:%d" % k, fc.projective_row(data, k)) for k in range(n)]
     for k in range(n):
-        cand = fc.simple_module(data, k)
-        if not any(fc.fin_are_isomorphic(cand, V)[0] for _, V in functors):
-            functors.append(("simple:%d" % k, cand))
+        # S is basic, so a module is the simple top k exactly when it is
+        # one-dimensional with V e_k nonzero
+        if not any(V.dim == 1 and V.sort_dim(k) == 1 for _, V in functors):
+            functors.append(("simple:%d" % k, fc.simple_module(data, k)))
     labels = [lbl for lbl, _ in functors]
     mods = [V for _, V in functors]
     sigma = fc.serre_from_generator(mods, G, data)

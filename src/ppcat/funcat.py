@@ -4,24 +4,24 @@ The endomorphism algebra of a complete direct sum of indecomposables is built
 as a FiniteAlgebra (basis, structure constants, primitive idempotents); its
 right modules stand in for finitely presented functors, evaluated through
 V (x)_S Hom(T, X).  Serre subcategories of this finite-length setting are
-recorded by their sets of simples, and quotient homs are computed literally
-as Hom(X_min, Y / t(Y)).
+recorded by their sets of simples Sigma, and the quotient by one is reached
+as mod-eSe, e the sum of the idempotents outside Sigma: a functor X goes to
+the eSe-module Xe, so quotient homs and isomorphisms are those of the Xe.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, product as iter_product
+from itertools import chain
 
 from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, IsomorphicSummands, NotASubspace,
     NotSplitEndo, PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, kernel,
-    row_apply, solve, sparse_commuting_equations, sparse_span, trace_form_radical, trace_gram,
+    Matrix, QuotientSpace, Subspace, block_matrix, commuting_solutions, kernel, row_apply,
+    sparse_commuting_equations, sparse_span, trace_form_radical, trace_gram,
 )
 from .ppeval import eval_pair
 from .quiver import QuiverAlgebra, compose
@@ -636,7 +636,9 @@ def auslander_algebra(indecomposables) -> AuslanderData:
         z = [F.zero()] * len(labels)
         z[pos] = F.one()
         idempotents.append(tuple(z))
-    algebra = FiniteAlgebra(F, labels, constants, idempotents)
+    # the constants are composed on the summands, so the constructor's checks
+    # are left to the tests
+    algebra = FiniteAlgebra(F, labels, constants, idempotents, validate=False)
     algebra._radical = sparse_span(F, len(labels), [
         {m: F.one()} for m in range(len(labels)) if m not in is_idempotent])
     return AuslanderData(algebra, summands, T, basis_morphisms, homs)
@@ -786,101 +788,58 @@ def serre_from_generator(functors, G, data: AuslanderData) -> SerreData:
     return SerreData(frozenset(sigma))
 
 
-def torsion_part(X: FinModule, serre: SerreData) -> Subspace:
-    """t(X): the largest submodule with all composition factors in Sigma,
-    the v with v S e_i = 0 for every i outside Sigma.  S e_i is spanned by
-    the products b_m e_i, so t(X) is one kernel: of the columns of the
-    action of every nonzero b_m e_i."""
-    S = X.algebra
-    one = X.field.one()
-    columns = []
-    for i in range(len(S.idempotents)):
-        if i not in serre.simples:
-            e = S._sparse(S.idempotents[i])
-            for m in range(S.dim):
-                x = S._sparse_mul({m: one}, e)
-                by_column = {}
-                for r, row in X._combination(x.items()).items():
-                    for j, y in row.items():
-                        by_column.setdefault(j, {})[r] = y
-                columns.extend(by_column.values())
-    return kernel(sparse_span(X.field, X.dim, columns).basis)
+def quotient_modules(functors, serre: SerreData):
+    """The Xe of the functors X, all over one corner algebra eSe, e the sum
+    of the e_i with i outside Sigma.  The Serre quotient of mod-S by the
+    class of Sigma is mod-eSe, by X -> Xe (Gabriel 1962), so Hom in the
+    quotient is fin_hom(Xe, Ye) and quotient isomorphism is isomorphism of
+    eSe-modules.
 
+    eSe is the span of the e b_m e on its RREF basis, its constants S's own
+    read over that basis and its idempotents the e_i outside Sigma, in
+    order.  Xe is the span of the X e_i outside Sigma, and each basis
+    element of eSe acts on it by its S-coordinates."""
+    functors = list(functors)
+    if not functors:
+        return []
+    S = functors[0].algebra
+    F, p = S.field, S.field.char
+    kept = [i for i in range(len(S.idempotents)) if i not in serre.simples]
+    acc = {}
+    for i in kept:
+        for m, c in S._sparse(S.idempotents[i]).items():
+            acc[m] = acc.get(m, 0) + c
+    e = _nonzero(acc, p)
+    one = F.one()
+    corner = sparse_span(F, S.dim, [S._sparse_mul(S._sparse_mul(e, {m: one}), e)
+                                    for m in {m for a in e for m in S._rows[a]}])
+    basis = [dict(row) for row in corner.nonzero_rows]
+    constants = {}
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            product = S._sparse_mul(x, y)
+            if product:
+                constants[a, b] = _coordinates(corner, product)
+    idempotents = []
+    for i in kept:
+        coordinates = dict(_coordinates(corner, S._sparse(S.idempotents[i])))
+        idempotents.append(tuple(coordinates.get(t, F.zero()) for t in range(corner.dim)))
+    eSe = FiniteAlgebra(F, [S.labels[c] for c in corner.pivots], constants, idempotents,
+                        validate=False)
 
-def minimal_cotorsion(X: FinModule, serre: SerreData) -> Subspace:
-    """X_min: the smallest submodule with X / X_min in the Serre class, the
-    submodule generated by the X e_i for every i outside Sigma."""
-    rows = []
-    for i in range(len(X.algebra.idempotents)):
-        if i not in serre.simples:
-            rows.extend(X.sort_rows(i))
-    return X.submodule(rows)
-
-
-@dataclass
-class QHom:
-    """Hom in the Serre quotient, as matrices X_min-coords -> (Y/tY)-coords."""
-
-    X: FinModule
-    Y: FinModule
-    serre: SerreData
-    x_min: Subspace
-    y_tors: Subspace
-    basis: list  # matrices, row convention
-
-
-def quotient_hom(X: FinModule, Y: FinModule, serre: SerreData,
-                 x_min=None, y_tors=None) -> QHom:
-    """Hom(X_min, Y / t(Y)); X_min and t(Y) are computed unless given."""
-    if x_min is None:
-        x_min = minimal_cotorsion(X, serre)
-    if y_tors is None:
-        y_tors = torsion_part(Y, serre)
-    dom = X.restrict(x_min)
-    cod, _ = Y.quotient(y_tors)
-    return QHom(X, Y, serre, x_min, y_tors, fin_hom(dom, cod))
-
-
-def qhom_identity(X: FinModule, serre: SerreData, x_min=None, t=None) -> Matrix:
-    """The image of the identity: X_min included in X, projected mod t(X);
-    X_min and t(X) are computed unless given."""
-    if x_min is None:
-        x_min = minimal_cotorsion(X, serre)
-    if t is None:
-        t = torsion_part(X, serre)
-    q = QuotientSpace(Subspace.full(X.field, X.dim), t)
-    rows = [q.project_vector(r) for r in x_min.basis_rows()]
-    return Matrix.from_rows(X.field, rows) if rows else Matrix(X.field, 0, q.dim, ())
-
-
-def qhom_compose(g_data: QHom, g: Matrix, f_data: QHom, f: Matrix) -> Matrix:
-    """g o f for f: X -> Y and g: Y -> Z in the quotient category."""
-    return _qhom_lift(g_data, f_data)(g, f)
-
-
-def _qhom_lift(g_data: QHom, f_data: QHom):
-    """The composition (g, f) -> g o f for f in f_data and g in g_data, with
-    the lift of Y/t(Y)-coordinates to Y_min reduced once."""
-    F = f_data.X.field
-    Y = f_data.Y
-    y_min = g_data.x_min
-    y_tors = f_data.y_tors
-    qY = QuotientSpace(Subspace.full(F, Y.dim), y_tors)
-    w_rows = [qY.project_vector(r) for r in y_min.basis_rows()]
-    wmat = Matrix.from_rows(F, w_rows).transpose() if w_rows \
-        else Matrix(F, qY.dim, 0, ())
-    # g kills Y_min n t(Y): solutions of the lift are unique enough
-    lift = Solver(wmat)
-
-    def compose(g: Matrix, f: Matrix) -> Matrix:
-        out_rows = []
-        for i in range(f.rows):
-            coeffs = lift.solve(f.row(i))
-            if coeffs is None:
-                raise PpcatError("composite does not factor; quotient recipe violated")
-            out_rows.append(row_apply(coeffs, g))
-        return Matrix.from_rows(F, out_rows) if out_rows else Matrix(F, 0, g.cols, ())
-    return compose
+    def corner_module(X):
+        sub = sparse_span(F, X.dim, [row for i in kept for row in X.sort_rows(i)])
+        action = []
+        for x in basis:
+            A = {r: tuple(row.items()) for r, row in X._combination(x.items()).items()}
+            out = {}
+            for r, row in enumerate(sub.nonzero_rows):
+                image = _row_times(row, A, p)
+                if image:
+                    out[r] = _coordinates(sub, image)
+            action.append(out)
+        return FinModule(eSe, sub.dim, action, check=False)
+    return [corner_module(X) for X in functors]
 
 
 @dataclass
@@ -891,86 +850,26 @@ class SkeletonReport:
 
 
 def quotient_skeleton(functors, serre: SerreData, seed=0) -> SkeletonReport:
-    """Group the survivors into quotient-isomorphism classes.
-
-    t(X) is computed once per functor, and X_min once per functor that a
-    pair needs."""
-    functors = list(functors)
-    tors = [torsion_part(X, serre) for X in functors]
-    discarded = [k for k, X in enumerate(functors) if tors[k].dim == X.dim]
-    survivors = [k for k, X in enumerate(functors) if tors[k].dim != X.dim]
-    mins = {}
-
-    def x_min(k):
-        if k not in mins:
-            mins[k] = minimal_cotorsion(functors[k], serre)
-        return mins[k]
-
+    """Group the survivors into quotient-isomorphism classes, through
+    `quotient_modules`: X is discarded when Xe = 0, and two survivors are
+    isomorphic in the quotient when their Xe are (`fin_are_isomorphic`).
+    The report is uncertain only when some pair stays undecided."""
+    corners = quotient_modules(functors, serre)
+    discarded = [k for k, Xe in enumerate(corners) if Xe.dim == 0]
     certain = True
     classes = []
-    reps = []  # class representatives
-
-    def mutually_inverse(i, j):
-        nonlocal certain
-        Xi, Xj = functors[i], functors[j]
-        fwd = quotient_hom(Xi, Xj, serre, x_min(i), tors[j])
-        bwd = quotient_hom(Xj, Xi, serre, x_min(j), tors[i])
-        if not fwd.basis or not bwd.basis:
-            return False
-        id_i = qhom_identity(Xi, serre, x_min(i), tors[i])
-        id_j = qhom_identity(Xj, serre, x_min(j), tors[j])
-        after_fwd = _qhom_lift(bwd, fwd)  # (g, f) -> g o f, Xi -> Xj -> Xi
-        after_bwd = _qhom_lift(fwd, bwd)  # (f, g) -> f o g, Xj -> Xi -> Xj
-        F_ = Xi.field
-        exhaustive = F_.char != 0 and F_.char ** len(bwd.basis) <= 2 ** 16
-        for g in _candidates(bwd.basis, F_, exhaustive, seed):
-            f = _solve_left_inverse(fwd.basis, g, id_i, after_fwd)
-            if f is None:
-                continue
-            if after_fwd(g, f) == id_i and after_bwd(f, g) == id_j:
-                return True
-        if not exhaustive:
-            certain = False
-        return False
-
-    for k in survivors:
-        placed = False
-        for cls, rep_idx in zip(classes, reps):
-            if mutually_inverse(rep_idx, k):
+    for k, Xe in enumerate(corners):
+        if Xe.dim == 0:
+            continue
+        for cls in classes:
+            iso, sure = fin_are_isomorphic(corners[cls[0]], Xe, seed)
+            certain = certain and sure
+            if iso:
                 cls.append(k)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([k])
-            reps.append(k)
     return SkeletonReport(classes, discarded, certain)
-
-
-def _candidates(basis, F, exhaustive, seed):
-    """Elements of the span of `basis`, generated as they are tried: every
-    nonzero combination over a small F_p when `exhaustive`, else the basis
-    and then 256 combinations drawn from Random(seed)."""
-    if exhaustive:
-        for coeffs in iter_product(range(F.char), repeat=len(basis)):
-            if any(coeffs):
-                yield linear_combination(basis, [F.from_int(c) for c in coeffs])
-        return
-    yield from basis
-    rng = random.Random(seed)
-    hi = F.char if F.char else 7
-    for _ in range(256):
-        coeffs = [F.from_int(rng.randrange(hi) - (0 if F.char else 3)) for _ in basis]
-        yield linear_combination(basis, coeffs)
-
-
-def _solve_left_inverse(basis, g: Matrix, id_i: Matrix, compose):
-    """Find f in the span of `basis` with compose(g, f) = g o f = id, by
-    linear solve."""
-    if not basis:
-        return None
-    mat = Matrix.from_rows(g.field, [compose(g, b).entries for b in basis]).transpose()
-    sol = solve(mat, id_i.entries)
-    return None if sol is None else linear_combination(basis, sol)
 
 
 # -- presenting a quiver algebra as a FiniteAlgebra ------------------------

@@ -253,3 +253,24 @@ def test_perturbed_auslander_constants_get_the_dense_verdict(F, kind, data):
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     table[i][j][k] = F.add(table[i][j][k], F.one())
     check_verdict(F, S.labels, table, S.idempotents)
+
+
+# -- the constructed constants pass the constructor's checks -------------------
+
+
+def fixture_summands(name):
+    ws = load_builtin(name)
+    return [ws.get("module", m) for m in sorted(ws.by_kind["module"])]
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "keps"])
+def test_fixture_auslander_algebras_are_valid(name):
+    """`auslander_algebra` skips the constructor's checks on the constants it
+    builds itself: they pass them."""
+    auslander_algebra(fixture_summands(name)).algebra._validate()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_interval_auslander_algebras_are_valid(F, n):
+    auslander_algebra(interval_modules(F, n)).algebra._validate()

@@ -223,6 +223,18 @@ def test_funcat_quotient_cli():
     assert len(doc["discarded"]) == 2
 
 
+def test_funcat_quotient_keps_is_certain():
+    # Sigma = {1}: over eSe = End(R) the Xe of row:0 and row:1 have
+    # dimensions 2 and 1, so they are certainly not isomorphic
+    code, doc, _ = invoke(["funcat-quotient", "--builtin", "keps",
+                           "--modules", "R,S", "--generator", "R"])
+    assert code == 0
+    assert doc["sigma"] == ["1"]
+    assert doc["classes"] == [["row:0"], ["row:1", "simple:0"]]
+    assert doc["discarded"] == ["simple:1"]
+    assert doc["certain"] is True
+
+
 def test_determinism():
     argv = ["roundtrip", "--builtin", "a1tilde", "--forward", "I",
             "--back", "J", "--fixture", "jordan", "--seed", "7"]

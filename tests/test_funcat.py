@@ -1,26 +1,25 @@
-import random
-from itertools import product as iter_product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcat.errors import NotSplitEndo, PpcatError
 from ppcat.funcat import (
-    FiniteAlgebra, _candidates, SerreData, auslander_algebra, basic_algebra_isomorphism,
+    FiniteAlgebra, SerreData, auslander_algebra, basic_algebra_isomorphism,
     composition_support, fin_are_isomorphic, fin_hom, fin_is_indecomposable,
-    functor_eval, minimal_cotorsion, pp_functor_crosscheck, projective_row,
-    qhom_compose, qhom_identity, quiver_algebra_to_finite, quotient_hom,
-    quotient_skeleton, serre_from_generator, simple_module, torsion_part,
+    functor_eval, pp_functor_crosscheck, projective_row, quiver_algebra_to_finite,
+    quotient_skeleton, serre_from_generator, simple_module,
 )
 from ppcat.ppform import PpPair, top_formula, zero_formula
 from ppcat.ppeval import certify_pair
 from ppcat.quiver import Arrow, Quiver, QuiverAlgebra, RingElement, make_path
-from ppcat.rep import Representation, direct_sum, hom_space, linear_combination
+from ppcat.rep import Representation, direct_sum
 from ppcat.scalars import QQ, PrimeField
 
 from fixtures import (
     a2_algebra, a2_p1, a2_p2, a2_s1, a3_algebra, dual_numbers_algebra, jordan_module, rep,
+)
+from serre_oracle import (
+    minimal_cotorsion, qhom_compose, qhom_identity, quotient_hom, torsion_part,
 )
 from test_ppform import ann_formula, div_formula
 
@@ -226,32 +225,6 @@ def test_torsion_and_minimal_fixpoints(a2_data):
         assert torsion_part(quo, sigma).dim == 0
         m = minimal_cotorsion(X, sigma)
         assert minimal_cotorsion(X.restrict(m), sigma).dim == m.dim
-
-
-def listed_candidates(basis, F, seed):
-    """The candidates as `quotient_skeleton` listed them before trying any:
-    every nonzero combination over a small F_p, else the basis and 256
-    draws from Random(seed)."""
-    if F.char != 0 and F.char ** len(basis) <= 2 ** 16:
-        return [linear_combination(basis, [F.from_int(c) for c in coeffs])
-                for coeffs in iter_product(range(F.char), repeat=len(basis)) if any(coeffs)]
-    rng = random.Random(seed)
-    candidates = list(basis)
-    for _ in range(256):
-        hi = F.char if F.char else 7
-        coeffs = [F.from_int(rng.randrange(hi) - (0 if F.char else 3)) for _ in basis]
-        candidates.append(linear_combination(basis, coeffs))
-    return candidates
-
-
-@pytest.mark.parametrize("F", [QQ, PrimeField(3), PrimeField(32003)], ids=str)
-@pytest.mark.parametrize("seed", [0, 5])
-def test_candidates_come_in_the_listed_order(F, seed):
-    M = jordan_module(dual_numbers_algebra(F), [(2, 0), (1, 0)])
-    basis = hom_space(M, M)
-    exhaustive = F.char != 0 and F.char ** len(basis) <= 2 ** 16
-    got = list(_candidates(basis, F, exhaustive, seed))
-    assert [g.blocks for g in got] == [g.blocks for g in listed_candidates(basis, F, seed)]
 
 
 def test_five_functors_pairwise_distinct(a2_data):

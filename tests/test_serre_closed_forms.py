@@ -14,10 +14,11 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppcat.funcat import FinModule, SerreData, minimal_cotorsion, torsion_part
+from ppcat.funcat import FinModule, SerreData
 from ppcat.linalg import QuotientSpace, Subspace, kernel, row_apply, vstack
 
 from fixtures import dense_act_vector
+from serre_oracle import minimal_cotorsion, torsion_part
 from test_sparse_modules import dense_quotient, dense_submodule, summand_cases
 
 
