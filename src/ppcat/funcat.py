@@ -180,17 +180,17 @@ class FiniteAlgebra:
         return Matrix(F, d, d, tuple(chain.from_iterable(gram)))
 
     def corner(self, k, l):
-        """Basis vectors of e_k A e_l: the span of the e_k b_i e_l, formed only
-        for the b_i with b_a b_i nonzero for some a in the support of e_k (e_k
-        kills every other b_i)."""
-        ek, el = self._sparse(self.idempotents[k]), self._sparse(self.idempotents[l])
+        """Basis vectors of e_k A e_l."""
+        return self._corner(self._sparse(self.idempotents[k]), self._sparse(self.idempotents[l]))
+
+    def _corner(self, e, f):
+        """e A f, for e and f given as {index: nonzero coordinate}: the span
+        of the e b_i f, formed only for the b_i with b_a b_i nonzero for some
+        a in the support of e (e kills every other b_i)."""
         one = self.field.one()
-        vecs = []
-        for i in {i for a in ek for i in self._rows[a]}:
-            v = self._sparse_mul(self._sparse_mul(ek, {i: one}), el)
-            if v:
-                vecs.append(self._dense(v))
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        return sparse_span(self.field, self.dim, [
+            self._sparse_mul(self._sparse_mul(e, {i: one}), f)
+            for i in {i for a in e for i in self._rows[a]}])
 
     def _validate(self):
         n = self.dim
@@ -338,15 +338,7 @@ class FinModule:
     def restrict(self, sub: Subspace) -> "FinModule":
         """The submodule `sub` on its RREF basis: row r of the action of b_m
         is the coordinates of (basis row r) b_m."""
-        p = self.field.char
-        action = []
-        for A in self.sparse_action:
-            out = {}
-            for r, row in enumerate(sub.nonzero_rows):
-                image = _row_times(row, A, p)
-                if image:
-                    out[r] = _coordinates(sub, image)
-            action.append(out)
+        action = _restricted_action(sub, self.sparse_action, self.field.char)
         return FinModule(self.algebra, sub.dim, action, check=False)
 
     def quotient(self, sub: Subspace):
@@ -411,6 +403,21 @@ def _row_times(row, A, p):
         for j, y in A.get(i, ()):
             acc[j] = acc.get(j, 0) + x * y
     return _nonzero(acc, p)
+
+
+def _restricted_action(sub: Subspace, actions, p):
+    """The matrices given by their sparse rows in `actions`, each mapping sub
+    into itself, restricted to sub on its RREF basis: row r of each is the
+    coordinates of (basis row r) times the matrix."""
+    out = []
+    for A in actions:
+        rows = {}
+        for r, row in enumerate(sub.nonzero_rows):
+            image = _row_times(row, A, p)
+            if image:
+                rows[r] = _coordinates(sub, image)
+        out.append(rows)
+    return out
 
 
 def _nonzero(vec, p):
@@ -803,6 +810,8 @@ def quotient_modules(functors, serre: SerreData):
     if not functors:
         return []
     S = functors[0].algebra
+    if any(X.algebra is not S for X in functors):
+        raise AlgebraMismatch("quotient of modules over different algebras")
     F, p = S.field, S.field.char
     kept = [i for i in range(len(S.idempotents)) if i not in serre.simples]
     acc = {}
@@ -810,9 +819,7 @@ def quotient_modules(functors, serre: SerreData):
         for m, c in S._sparse(S.idempotents[i]).items():
             acc[m] = acc.get(m, 0) + c
     e = _nonzero(acc, p)
-    one = F.one()
-    corner = sparse_span(F, S.dim, [S._sparse_mul(S._sparse_mul(e, {m: one}), e)
-                                    for m in {m for a in e for m in S._rows[a]}])
+    corner = S._corner(e, e)
     basis = [dict(row) for row in corner.nonzero_rows]
     constants = {}
     for a, x in enumerate(basis):
@@ -829,16 +836,9 @@ def quotient_modules(functors, serre: SerreData):
 
     def corner_module(X):
         sub = sparse_span(F, X.dim, [row for i in kept for row in X.sort_rows(i)])
-        action = []
-        for x in basis:
-            A = {r: tuple(row.items()) for r, row in X._combination(x.items()).items()}
-            out = {}
-            for r, row in enumerate(sub.nonzero_rows):
-                image = _row_times(row, A, p)
-                if image:
-                    out[r] = _coordinates(sub, image)
-            action.append(out)
-        return FinModule(eSe, sub.dim, action, check=False)
+        actions = ({r: tuple(row.items()) for r, row in X._combination(x.items()).items()}
+                   for x in basis)
+        return FinModule(eSe, sub.dim, _restricted_action(sub, actions, p), check=False)
     return [corner_module(X) for X in functors]
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppcat.errors import AlgebraMismatch
 from ppcat.funcat import (
     SerreData, auslander_algebra, fin_hom, projective_row, quotient_modules, quotient_skeleton,
     serre_from_generator, simple_module,
@@ -123,3 +124,13 @@ def test_every_simple_in_sigma_leaves_a_zero_corner():
     corners = quotient_modules(functors, SerreData({0, 1}))
     assert corners[0].algebra.dim == 0 and [V.dim for V in corners] == [0, 0]
     assert quotient_modules([], SerreData(set())) == []
+
+
+def test_functors_over_two_algebras_are_refused():
+    a2 = auslander_algebra(fixture_summands("a2"))
+    keps = auslander_algebra(fixture_summands("keps"))
+    functors = [projective_row(a2, 0), projective_row(keps, 0)]
+    with pytest.raises(AlgebraMismatch):
+        quotient_modules(functors, SerreData(set()))
+    with pytest.raises(AlgebraMismatch):
+        quotient_skeleton(functors, SerreData({0}))
