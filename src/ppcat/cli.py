@@ -16,14 +16,15 @@ import os
 import sys
 
 from . import funcat as fc
-from .dsl import Decl, Workspace, emit_report, load_builtin, parse_file, print_item
+from .dsl import Decl, Parser, Workspace, emit_report, load_builtin, parse_file, print_item
 from .errors import (
-    CharacteristicTooSmall, InducedMapUndefined, NotASubspace, NotAdmissible,
-    NotMono, NotSplitEndo, NotValidated, PpcatError, SortMismatch,
-    UncertifiedPair, UnresolvedReference, UnsupportedRelation, UsageError, ZeroModule,
+    AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, InducedMapUndefined,
+    NotASubspace, NotAdmissible, NotMono, NotSplitEndo, NotValidated, PpcatError,
+    SortMismatch, UncertifiedPair, UnresolvedReference, UnsupportedRelation, UsageError,
+    ZeroModule,
 )
 from .interp import apply as interp_apply
-from .interp import check_rep_embedding, validate
+from .interp import check_rep_embedding, round_trip_check, validate
 from .linalg import Matrix
 from .ppform import PpMap
 from .ppeval import (
@@ -31,7 +32,7 @@ from .ppeval import (
     free_realization, pp_implies,
 )
 from .ppform import dual as pp_dual
-from .rep import RepMorphism, Representation, are_isomorphic
+from .rep import RepMorphism, Representation
 from .tensor import purity_pp, purity_tensor, tensor
 
 # every other library error (parse, unresolved name, algebra mismatch, malformed
@@ -229,30 +230,38 @@ def _module_list(args, ws):
     return [ws.any_module(n) for n in names], ",".join(names)
 
 
-def _parse_scalar_string(field, s):
-    s = s.strip()
-    neg = s.startswith("-")
-    if neg:
-        s = s[1:]
-    if "/" in s:
-        num, den = s.split("/", 1)
-        val = field.from_fraction(int(num), int(den))
-    else:
-        val = field.from_int(int(s))
-    return field.neg(val) if neg else val
-
-
-def _morphism_from_blocks(ws, source, target, blocks_json):
+def _morphism_from_blocks(source, target, blocks_json):
+    """The morphism that --blocks gives: a JSON object from vertex to the
+    block there, a list of rows, each entry a number or a string that the
+    .ppc grammar reads as one scalar.  A vertex left out has the zero block,
+    and a block with no entries may also be given as []."""
     data = json.loads(blocks_json)
+    if not isinstance(data, dict):
+        raise UsageError("--blocks must be a JSON object from vertex to rows")
+    if source.algebra != target.algebra:
+        raise AlgebraMismatch("morphism between representations of different algebras")
     F = source.field
     blocks = {}
     for v, rows in data.items():
-        want = (target.dims.get(v, 0), source.dims.get(v, 0))
-        if want[0] == 0 or want[1] == 0:
-            blocks[v] = Matrix(F, want[0], want[1], ())
-            continue
-        ents = [[_parse_scalar_string(F, str(x)) for x in row] for row in rows]
-        blocks[v] = Matrix.from_rows(F, ents)
+        if v not in source.algebra.quiver.vertices:
+            raise UnresolvedReference("--blocks names %r, not a vertex of %s"
+                                      % (v, source.algebra.name))
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise UsageError("--blocks at vertex %s is not a list of rows" % v)
+        want = (target.dims[v], source.dims[v])
+        if not rows and 0 in want:
+            rows = [[]] * want[0]
+        if len(rows) != want[0] or any(len(row) != want[1] for row in rows):
+            raise DimensionMismatch("--blocks at vertex %s is not %d x %d" % (v, *want))
+        ents = []
+        for row in rows:
+            for x in row:
+                entry = Parser(str(x))
+                entry.ws.field = F
+                ents.append(entry.scalar())
+                if entry.peek().kind != "eof":
+                    entry.fail("the end of the scalar")
+        blocks[v] = Matrix(F, want[0], want[1], tuple(ents))
     return RepMorphism(source, target, blocks)
 
 
@@ -356,12 +365,11 @@ def cmd_roundtrip(args, ws, seed):
     validate(Ff)
     validate(Fb)
     mods, listed = _module_list(args, ws)
-    results = []
-    for k, M in enumerate(mods):
-        r = are_isomorphic(interp_apply(Fb, interp_apply(Ff, M)), M, seed=seed)
-        results.append({"index": k, "isomorphic": r.isomorphic, "certain": r.certain})
-    return {"modules": listed, "results": results,
-            "all_isomorphic": all(r["isomorphic"] for r in results)}, {}
+    report = round_trip_check(Ff, Fb, mods, seed=seed)
+    return {"modules": listed,
+            "results": [{"index": k, "isomorphic": iso, "certain": certain}
+                        for k, iso, certain in report.results],
+            "all_isomorphic": report.all_isomorphic}, {}
 
 
 def cmd_repembed(args, ws, seed):
@@ -387,7 +395,7 @@ def cmd_tensor(args, ws, seed):
 def cmd_purity(args, ws, seed):
     M = ws.any_module(args.from_)
     N = ws.any_module(args.to)
-    f = _morphism_from_blocks(ws, M, N, args.blocks)
+    f = _morphism_from_blocks(M, N, args.blocks)
     payload = {}
     flags = {}
     if args.method in ("tensor", "both"):

@@ -520,13 +520,6 @@ def project(s: Subspace, coords) -> Subspace:
     return Subspace.from_vectors(s.field, k, vecs)
 
 
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    _check_ambient(a, b)
-    if not contains(a, b):
-        raise NotASubspace("second subspace is not contained in the first")
-    return a.dim - b.dim
-
-
 def kernel(m: Matrix) -> Subspace:
     """Solution space of m v = 0, as a subspace of F^cols, from one elimination.
 

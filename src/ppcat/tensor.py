@@ -1,141 +1,59 @@
 """Tensor products over a path category, and purity of monomorphisms.
 
-A right module is a representation of the opposite algebra.  Tensoring with a
-left module M is computed from a (non-minimal) projective presentation of the
-right module: cover every component by representables, cover the kernel the
-same way, and read the connecting morphisms off as path-algebra elements; the
-tensor value is the cokernel of their action on M.
+A right module L is a representation of the opposite algebra, a
+contravariant functor on the path category, and a left module M a covariant
+one.  L (x)_A M is their coend: the sum over the vertices v of
+L(v) (x) M(v), modulo l.a (x) m - l (x) a.m for every arrow a.  The
+relations of the algebra need no equations of their own, since they act as
+zero on both modules, so no admissibility is needed either.
+
+The sum is a grid of one dim L(v) x dim M(v) block per vertex, and the
+relations of an arrow a: s -> t are the rows of the commuting square
+X_t M(a) = L(a)^T X_s; the solutions of those squares are Hom(M, DL), the
+dual of L (x) M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraMismatch, NotAdmissible, NotMono
+from .errors import AlgebraMismatch, NotMono
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, block_matrix, image, kernel, preimage,
+    Subspace, block_matrix, preimage, sparse_commuting_equations, sparse_span, sparse_squares,
 )
-from .ppeval import eval_formula, projective_rep
-from .quiver import RingElement, reverse_path
-from .rep import RepMorphism, Representation, act, direct_sum, kernel_of
-
-
-def right_representable(alg, vertex) -> Representation:
-    """The representable right module (-, vertex), over the opposite algebra."""
-    return projective_rep(alg.opposite(), vertex)
-
-
-def _cover_by_representables(L: Representation):
-    """A surjection from a sum of representables hitting every basis vector."""
-    op = L.algebra
-    F = L.field
-    summands = []       # (vertex, representable)
-    gen_targets = []    # the basis vector each copy covers
-    for v in op.quiver.vertices:
-        P = projective_rep(op, v)
-        for k in range(L.dims[v]):
-            summands.append((v, P))
-            e = [F.zero()] * L.dims[v]
-            e[k] = F.one()
-            gen_targets.append((v, tuple(e)))
-    if not summands:
-        P0 = Representation(op, {v: 0 for v in op.quiver.vertices}, {}, check=False)
-        return [], P0, RepMorphism(P0, L, {}, check=False)
-    P0 = direct_sum([P for _, P in summands])
-    blocks = {}
-    for w in op.quiver.vertices:
-        cols = []
-        for (v, P), (_, x) in zip(summands, gen_targets):
-            for p in op.hom_basis(v, w):
-                elem = RingElement.from_path(F, p)
-                cols.append(act(L, elem).apply(x))
-        blocks[w] = Matrix.from_rows(F, cols).transpose() if cols \
-            else Matrix(F, L.dims[w], 0, ())
-    return [v for v, _ in summands], P0, RepMorphism(P0, L, blocks, check=False)
-
-
-@dataclass
-class TensorPresentation:
-    """P1 -> P0 -> L -> 0 with the connecting map stored as path elements."""
-
-    algebra: object          # the left-module algebra
-    cover_vertices: list     # vertex of each P0 summand
-    relation_vertices: list  # vertex of each P1 summand
-    elements: dict           # (P0 index, P1 index) -> RingElement (left algebra)
-
-
-def present_right_module(L: Representation) -> TensorPresentation:
-    op = L.algebra
-    alg = op.opposite()
-    if not op.admissible:
-        raise NotAdmissible("tensor needs an admissible algebra")
-    F = L.field
-    cover_vs, P0, eps = _cover_by_representables(L)
-    K, incl = kernel_of(eps)
-    rel_vs, P1, kappa = _cover_by_representables(K)
-    h = incl.compose(kappa)
-    elements = {}
-    for a, ja in enumerate(rel_vs):
-        # generator coordinate of summand a inside P1(ja)
-        off = 0
-        for (jb, _) in zip(rel_vs[:a], range(a)):
-            off += len(op.hom_basis(jb, ja))
-        lazy_idx = next(i for i, p in enumerate(op.hom_basis(ja, ja)) if p.is_lazy())
-        gen = [F.zero()] * P1.dims[ja]
-        gen[off + lazy_idx] = F.one()
-        img = h.blocks[ja].apply(tuple(gen))
-        boff = 0
-        for b, ib in enumerate(cover_vs):
-            basis = op.hom_basis(ib, ja)
-            terms = {}
-            for p, c in zip(basis, img[boff:boff + len(basis)]):
-                if not F.is_zero(c):
-                    terms[reverse_path(p)] = c
-            boff += len(basis)
-            if terms:
-                elements[(b, a)] = RingElement(F, ja, ib, terms)
-    return TensorPresentation(alg, cover_vs, rel_vs, elements)
+from .ppeval import eval_formula
+from .rep import RepMorphism, Representation
 
 
 @dataclass
 class TensorValue:
     dim: int
-    quotient: QuotientSpace  # of the covering sum evaluated at the module
-
-
-def tensor_value(pres: TensorPresentation, M: Representation) -> TensorValue:
-    if M.algebra != pres.algebra:
-        raise AlgebraMismatch("module over the wrong algebra")
-    F = M.field
-    big = block_matrix(F, {ba: act(M, r) for ba, r in pres.elements.items()},
-                       [M.dims[v] for v in pres.cover_vertices],
-                       [M.dims[v] for v in pres.relation_vertices])
-    quo = QuotientSpace(Subspace.full(F, big.rows), image(big))
-    return TensorValue(quo.dim, quo)
+    relations: Subspace  # of the grid, the sum of the L(v) (x) M(v)
 
 
 def tensor(L: Representation, M: Representation) -> TensorValue:
     """L (x) M for a right module L and left module M over the same algebra."""
     if L.algebra != M.algebra.opposite():
         raise AlgebraMismatch("right module is not over the opposite algebra")
-    return tensor_value(present_right_module(L), M)
+    quiver = M.algebra.quiver
+    index = {v: k for k, v in enumerate(quiver.vertices)}
+    shapes = [(L.dims[v], M.dims[v]) for v in quiver.vertices]
+    squares = [(index[a.source], index[a.target], M.maps[a.name], L.maps[a.name].transpose())
+               for a in quiver.arrows]
+    F = M.field
+    total = sum(r * c for r, c in shapes)
+    rel = sparse_span(F, total, sparse_commuting_equations(
+        F, shapes, sparse_squares(shapes, squares)))
+    return TensorValue(total - rel.dim, rel)
 
 
-def tensor_induced_map(pres: TensorPresentation, f: RepMorphism,
-                       tm: TensorValue, tn: TensorValue) -> Matrix:
-    """The map L (x) M -> L (x) N induced by f: M -> N."""
-    F = f.source.field
-    cols = []
-    for i in range(tm.dim):
-        u = tm.quotient.lift(i)
-        img = []
-        off = 0
-        for v in pres.cover_vertices:
-            d = f.source.dims[v]
-            img.extend(f.blocks[v].apply(u[off:off + d]))
-            off += d
-        cols.append(tn.quotient.project_vector(tuple(img)))
-    return Matrix.from_rows(F, cols).transpose() if cols else Matrix(F, tn.dim, 0, ())
+def _pulls_back(F, blocks, small: Subspace, big: Subspace) -> bool:
+    """Whether the block-diagonal map of `blocks` pulls `big` back to exactly
+    `small`; for a map that sends `small` into `big`, whether the induced map
+    of the quotients is injective."""
+    m = block_matrix(F, {(i, i): b for i, b in enumerate(blocks)},
+                     [b.rows for b in blocks], [b.cols for b in blocks])
+    return preimage(m, big) == small
 
 
 @dataclass
@@ -149,16 +67,19 @@ class PurityResult:
 
 
 def purity_tensor(f: RepMorphism, right_modules, complete=False) -> PurityResult:
-    """Purity via injectivity of L (x) M -> L (x) N for the supplied L."""
+    """Purity via injectivity of L (x) M -> L (x) N for the supplied L.
+
+    On the grids, id_L (x) f is block-diagonal, with dim L(v) copies of f_v
+    at each vertex v."""
     if not f.is_injective():
         raise NotMono("purity is about monomorphisms")
+    vertices = f.source.algebra.quiver.vertices
     failures = []
     for k, L in enumerate(right_modules):
-        pres = present_right_module(L)
-        tm = tensor_value(pres, f.source)
-        tn = tensor_value(pres, f.target)
-        induced = tensor_induced_map(pres, f, tm, tn)
-        if kernel(induced).dim != 0:
+        tm = tensor(L, f.source)
+        tn = tensor(L, f.target)
+        copies = [f.blocks[v] for v in vertices for _ in range(L.dims[v])]
+        if not _pulls_back(f.field, copies, tm.relations, tn.relations):
             failures.append(k)
     return PurityResult(not failures, not complete, failures)
 
@@ -172,9 +93,6 @@ def purity_pp(f: RepMorphism, formulas, complete=False) -> PurityResult:
     for k, phi in enumerate(formulas):
         sol_m = eval_formula(phi, M).space
         sol_n = eval_formula(phi, N).space
-        sorts = phi.free_sorts
-        big = block_matrix(M.field, {(i, i): f.blocks[v] for i, v in enumerate(sorts)},
-                           [N.dims[v] for v in sorts], [M.dims[v] for v in sorts])
-        if preimage(big, sol_n) != sol_m:
+        if not _pulls_back(M.field, [f.blocks[v] for v in phi.free_sorts], sol_m, sol_n):
             failures.append(k)
     return PurityResult(not failures, not complete, failures)

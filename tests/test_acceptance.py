@@ -132,10 +132,10 @@ def test_criterion_7_tensor_values():
             if n != "I13":
                 assert tensor(L, M).dim == M.dims["3"], n
         alg = ws.get("algebra", "KA3")
-        from ppcat.tensor import right_representable
+        from ppcat.ppeval import projective_rep
         rng = random.Random(0)
         for i in ("1", "2", "3"):
-            Li = right_representable(alg, i)
+            Li = projective_rep(alg.opposite(), i)
             for M in intervals.values():
                 assert tensor(Li, M).dim == M.dims[i]
 

@@ -201,6 +201,33 @@ def test_purity_cli():
     assert doc["pure"] is False
 
 
+@pytest.mark.parametrize("blocks, kind", [
+    ("[1]", "UsageError"),
+    ('{"2": 5}', "UsageError"),
+    ('{"2": [1]}', "UsageError"),
+    ('{"1": [], "2": [["1/0"]]}', "ParseError"),
+    ('{"9": [["1"]]}', "UnresolvedReference"),
+    ('{"1": [], "2": [["1", "0"]]}', "DimensionMismatch"),
+    ('{"1": [], "2": [["1_0"]]}', "ParseError"),
+    ('{"1": [], "2": [["١"]]}', "ParseError"),
+])
+def test_purity_cli_refuses_malformed_blocks(blocks, kind):
+    code, doc, _ = invoke(["purity", "--builtin", "a2", "--method", "pp",
+                           "--from", "P2", "--to", "P1",
+                           "--blocks", blocks, "--formulas", "div_a"])
+    assert code == 2
+    assert doc["error_kind"] == kind
+
+
+def test_purity_cli_refuses_blocks_across_algebras():
+    # vertex 3 is in A3 only: the algebras are compared before any block
+    code, doc, _ = invoke(["purity", "--builtin", "a2", "--builtin", "a3",
+                           "--method", "pp", "--from", "I13", "--to", "P1",
+                           "--blocks", '{"3": [["1"]]}', "--formulas", "div_a"])
+    assert code == 2
+    assert doc["error_kind"] == "AlgebraMismatch"
+
+
 def test_funcat_auslander_cli():
     code, doc, _ = invoke(["funcat-auslander", "--builtin", "a2",
                            "--modules", "P1,P2,S1"])

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ppcat.errors import DimensionMismatch, NotASubspace
+from ppcat.errors import DimensionMismatch
 from ppcat.linalg import (
     Matrix, Subspace, QuotientSpace, contains, image, intersect, kernel, preimage,
-    project, quotient_dim, rank, rref, solve, subspace_sum,
+    project, rank, rref, solve, subspace_sum,
 )
 from ppcat.scalars import QQ, PrimeField
 
@@ -81,15 +81,6 @@ def test_project_diagonal():
     s = Subspace.from_vectors(QQ, 2, [(Fraction(1), Fraction(1))])
     p = project(s, [0])
     assert p == Subspace.full(QQ, 1)
-
-
-def test_quotient_dim():
-    full = Subspace.full(QQ, 2)
-    line = Subspace.from_vectors(QQ, 2, [(Fraction(1), Fraction(0))])
-    assert quotient_dim(full, line) == 1
-    other = Subspace.from_vectors(QQ, 2, [(Fraction(0), Fraction(1))])
-    with pytest.raises(NotASubspace):
-        quotient_dim(line, other)
 
 
 def test_modular_law_dimensions():

@@ -2,19 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcat.errors import NotMono
-from ppcat.linalg import Matrix
+from ppcat.linalg import Matrix, image
 from ppcat.ppform import top_formula
 from ppcat.ppeval import projective_rep
-from ppcat.rep import RepMorphism, Representation, hom_space, summand_inclusion
-from ppcat.scalars import PrimeField
-from ppcat.tensor import (
-    present_right_module, purity_pp, purity_tensor, right_representable, tensor,
-    tensor_value,
+from ppcat.rep import (
+    RepMorphism, Representation, act, dual_module, hom_space, summand_inclusion,
 )
+from ppcat.scalars import QQ, PrimeField
+from ppcat.tensor import purity_pp, purity_tensor, tensor
 
-from fixtures import a2_algebra, a3_algebra, a2_p1, a2_p2, a2_s1, mat, rep
+from fixtures import (
+    a2_algebra, a3_algebra, a2_p1, a2_p2, a2_s1, dual_numbers_algebra, jordan_module,
+    loop_algebra, mat, rep,
+)
 from test_ppform import ann_formula, div_formula
 
 F2 = PrimeField(2)
@@ -57,7 +61,7 @@ def test_tensor_representables_give_components():
     rng = random.Random(8)
     alg = a3_algebra(F2)
     for i in ("1", "2", "3"):
-        Li = right_representable(alg, i)
+        Li = projective_rep(alg.opposite(), i)
         for _ in range(5):
             dims = {v: rng.randrange(3) for v in ("1", "2", "3")}
             maps = {}
@@ -70,18 +74,15 @@ def test_tensor_representables_give_components():
 
 
 def test_tensor_right_exactness_shadow():
-    # the presentation-based value agrees with the bare cokernel computation
-    # done by hand for L = 0 <- K <- K:  coker(M1 -> M3) via the length-2 path
+    # L = 0 <- K <- K is the cokernel of (-, 1) -> (-, 3) given by the
+    # length-2 path, so by right exactness L (x) M = coker(M1 -> M3), done by
+    # hand here
     alg = a3_algebra()
     L = a3_right_L(alg)
-    pres = present_right_module(L)
     ba = alg.path_element(("a", "b"))
-    from ppcat.rep import act
     for lo, hi in ((1, 3), (2, 3), (1, 2)):
         M = a3_interval(alg, lo, hi)
-        m = act(M, ba)
-        from ppcat.linalg import image
-        assert tensor_value(pres, M).dim == M.dims["3"] - image(m).dim
+        assert tensor(L, M).dim == M.dims["3"] - image(act(M, ba)).dim
 
 
 def a2_right_indecomposables(alg):
@@ -166,7 +167,6 @@ def test_purity_cross_oracle_f2():
     alg = a2_algebra(F2)
     rights = a2_right_indecomposables(alg)
     formulas = a2_purity_formulas(alg)
-    presentations = [present_right_module(L) for L in rights]
     mods = all_a2_modules_f2(alg)
     # group modules by isomorphism class to keep the mono count reasonable
     reps = []
@@ -199,3 +199,86 @@ def test_purity_cross_oracle_f2():
                     disagreements += 1
     assert count > 50
     assert disagreements == 0
+
+
+# -- the coend against the tensor-Hom duality D(L (x) M) = Hom(M, DL) ---------
+
+
+@st.composite
+def random_rep(draw, alg, max_dim=3):
+    """A module over a2, a3 or their opposites with small integer entries,
+    or over a one-loop algebra: square-zero (a permuted strictly block upper
+    triangular matrix) when the algebra has the relation t.t, any matrix
+    otherwise."""
+    F = alg.field
+    dims = {v: draw(st.integers(0, max_dim)) for v in alg.quiver.vertices}
+    entries = st.integers(-2, 2)
+    maps = {}
+    for a in alg.quiver.arrows:
+        r, c = dims[a.target], dims[a.source]
+        rows = [[draw(entries) for _ in range(c)] for _ in range(r)]
+        if alg.relations:
+            k = draw(st.integers(0, r))
+            perm = draw(st.permutations(range(r)))
+            rows = [[rows[perm[i]][perm[j]] if perm[i] < k <= perm[j] else 0
+                     for j in range(c)] for i in range(r)]
+        maps[a.name] = Matrix(F, r, c, tuple(F.from_int(x) for row in rows for x in row))
+    return Representation(alg, dims, maps)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(3)]),
+       st.sampled_from([a2_algebra, a3_algebra, dual_numbers_algebra, loop_algebra]),
+       st.data())
+def test_tensor_dual_to_hom_into_dual(F, make, data):
+    alg = make(F)
+    L = data.draw(random_rep(alg.opposite()))
+    M = data.draw(random_rep(alg))
+    assert tensor(L, M).dim == len(hom_space(M, dual_module(L)))
+
+
+def test_tensor_needs_no_admissibility():
+    # K[T] with no nilpotency bound: J^* (x) J is dual to End(J) for the
+    # 2-dimensional Jordan block J
+    alg = loop_algebra()
+    assert not alg.admissible
+    J = jordan_module(alg, [(2, 0)])
+    assert tensor(dual_module(J), J).dim == 2 == len(hom_space(J, J))
+    assert purity_tensor(RepMorphism.identity(J), [dual_module(J)]).pure
+
+
+def split_mono(M, N):
+    """M -> M (+) N, m -> (m, h m) with h the sum of a basis of Hom(M, N): a
+    summand inclusion conjugated by the automorphism id + h."""
+    f = summand_inclusion([M, N], 0)
+    for h in hom_space(M, N):
+        f = f.add(summand_inclusion([M, N], 1).compose(h))
+    return f
+
+
+def test_purity_methods_agree_on_keps():
+    alg = dual_numbers_algebra()
+    R, S = jordan_module(alg, [(2, 0)]), jordan_module(alg, [(1, 0)])
+    rights = [dual_module(R), dual_module(S)]
+    formulas = [ann_formula(alg, "t", "v"), div_formula(alg, "t")]
+    for M, N in itertools.product((R, S), repeat=2):
+        f = split_mono(M, N)
+        assert purity_tensor(f, rights).pure and purity_pp(f, formulas).pure
+    (socle,) = [g for g in hom_space(S, R) if g.is_injective()]
+    assert purity_tensor(socle, rights).failures == [1]
+    assert not purity_pp(socle, formulas).pure
+
+
+def test_purity_methods_agree_on_a3():
+    alg = a3_algebra(PrimeField(3))
+    intervals = [a3_interval(alg, lo, hi) for lo in (1, 2, 3) for hi in range(lo, 4)]
+    rights = [dual_module(M) for M in intervals]
+    formulas = [div_formula(alg, "a"), div_formula(alg, "b"),
+                ann_formula(alg, "a", "1"), ann_formula(alg, "b", "2")]
+    for M, N in itertools.product(intervals, repeat=2):
+        f = split_mono(M, N)
+        assert purity_tensor(f, rights).pure and purity_pp(f, formulas).pure
+    P1, P2 = intervals[2], intervals[4]  # I13 and I23
+    (i,) = hom_space(P2, P1)
+    assert not purity_tensor(i, rights).pure
+    assert not purity_pp(i, formulas).pure
