@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import funcat as fc
-from .dsl import Decl, Parser, Workspace, emit_report, load_builtin, parse_file, print_item
+from .dsl import DIGITS, Decl, Parser, Workspace, emit_report, load_builtin, parse_file, print_item
 from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, InducedMapUndefined,
     NotASubspace, NotAdmissible, NotMono, NotSplitEndo, NotValidated, PpcatError,
@@ -442,10 +442,10 @@ def cmd_funcat_auslander(args, ws, seed):
 def _functor_by_spec(data, spec):
     bad_spec = UnresolvedReference("functor spec must be row:<k> or simple:<k>")
     kind, _, idx = spec.partition(":")
-    try:
-        k = int(idx)
-    except ValueError:
-        raise bad_spec from None
+    # the .ppc decimal digits only: int() also takes signs, spaces, "_" and other scripts
+    if not idx or not set(idx) <= DIGITS:
+        raise bad_spec
+    k = int(idx)
     n = len(data.algebra.idempotents)
     if not 0 <= k < n:
         raise UnresolvedReference("functor index %d out of range 0..%d" % (k, n - 1))

@@ -3,7 +3,8 @@
 Validation checks the functionality conditions on every arrow and that the
 pp-composite along every relation of the target algebra is zero modulo the
 bottom formula.  Application evaluates the pairs, takes canonical quotient
-bases, and induces the arrow matrices by solving the relation formulas.
+bases, and reads each arrow's induced matrix off the graph of its relation
+formula on the module (`ppeval.graph_check`).
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (
     AlgebraMismatch, InducedMapUndefined, NotValidated, SortMismatch,
 )
-from .linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, contains, intersect, project, subspace_sum,
-)
+from .linalg import Matrix, QuotientSpace
 from .ppform import (
     PpFormula, PpMap, PpPair, combine_map_formulas, compose_map_formulas, conj,
     difference_map, identity_map_formula, pad_free, zero_map_formula,
 )
-from .ppeval import certify_pair, check_pp_map, eval_formula, pp_implies
+from .ppeval import certify_pair, check_pp_map, eval_formula, graph_check, pp_implies
 from .rep import (
     RepMorphism, Representation, are_isomorphic, is_indecomposable,
 )
@@ -141,22 +140,9 @@ def _pair_spaces(F, vertex, M):
     return QuotientSpace(big, small)
 
 
-def _embed_in_product(space: Subspace, total, offset, field):
-    vecs = []
-    for row in space.basis_rows():
-        v = [field.zero()] * total
-        v[offset:offset + len(row)] = list(row)
-        vecs.append(tuple(v))
-    return Subspace.from_vectors(field, total, vecs)
-
-
-def _full_on_coords(field, total, start, stop):
-    vecs = []
-    for i in range(start, stop):
-        v = [field.zero()] * total
-        v[i] = field.one()
-        vecs.append(tuple(v))
-    return Subspace.from_vectors(field, total, vecs)
+_UNDEFINED = {"total": "relation %s not total on this module",
+              "top": "relation %s leaves the top formula",
+              "bottom": "relation %s does not respect the bottom formula"}
 
 
 def apply(F: InterpretationFunctor, M: Representation) -> Representation:
@@ -170,44 +156,15 @@ def apply(F: InterpretationFunctor, M: Representation) -> Representation:
     dims = {v: quots[v].dim for v in quots}
     maps = {}
     for arrow in F.target_algebra.quiver.arrows:
-        v, w = arrow.source, arrow.target
-        rho = F.arrow_maps[arrow.name]
-        nx = sum(M.dims[s] for s in F.vertex_sorts[v].free_sorts)
-        ny = sum(M.dims[s] for s in F.vertex_sorts[w].free_sorts)
-        rel = eval_formula(rho, M).space  # subspace of X + Y
-        total = nx + ny
-        x_phi = _embed_in_product(quots[v].big, total, 0, field)
-        x_psi = _embed_in_product(quots[v].small, total, 0, field)
-        y_full = _full_on_coords(field, total, nx, total)
-        on_phi = intersect(rel, subspace_sum(x_phi, y_full))
+        qv, qw = quots[arrow.source], quots[arrow.target]
+        rel = eval_formula(F.arrow_maps[arrow.name], M).space  # subspace of X + Y
         # functionality on this module (automatic when validated exactly)
-        if not contains(project(on_phi, range(nx)), quots[v].big):
-            raise InducedMapUndefined("relation %s not total on this module" % arrow.name)
-        if not contains(quots[w].big, project(on_phi, range(nx, total))):
-            raise InducedMapUndefined("relation %s leaves the top formula" % arrow.name)
-        on_psi = intersect(rel, subspace_sum(x_psi, y_full))
-        if not contains(quots[w].small, project(on_psi, range(nx, total))):
-            raise InducedMapUndefined("relation %s does not respect the bottom formula"
-                                      % arrow.name)
-        cols = []
-        basis_rows = rel.basis_rows()
-        if basis_rows:
-            cmat = Matrix.from_rows(field, basis_rows).transpose()
-        else:
-            cmat = Matrix(field, total, 0, ())
-        xmat = Matrix(field, nx, cmat.cols,
-                      tuple(cmat.at(i, j) for i in range(nx) for j in range(cmat.cols)))
-        lifts = [quots[v].lift(i) for i in range(quots[v].dim)]
-        preimage = Solver(xmat) if lifts else None
-        for u in lifts:
-            coeffs = preimage.solve(u)
-            if coeffs is None:
-                raise InducedMapUndefined("no image for a basis coset at %s" % arrow.name)
-            fullvec = cmat.apply(coeffs)
-            yvec = fullvec[nx:]
-            cols.append(quots[w].project_vector(yvec))
+        failed, lift = graph_check(rel, qv.big, qv.small, qw.big, qw.small)
+        if failed:
+            raise InducedMapUndefined(_UNDEFINED[failed] % arrow.name)
+        cols = [qw.project_vector(lift(qv.lift(i))) for i in range(qv.dim)]
         maps[arrow.name] = Matrix.from_rows(field, cols).transpose() if cols \
-            else Matrix(field, dims[w], 0, ())
+            else Matrix(field, dims[arrow.target], 0, ())
     return Representation(F.target_algebra, dims, maps)
 
 

@@ -471,11 +471,6 @@ class Subspace:
         return tuple(vec[p] for p in self.pivots)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_ambient(a, b)
-    return Subspace.from_vectors(a.field, a.ambient_dim, a.basis_rows() + b.basis_rows())
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus: rows [A|A] over [B|0]; rows with zero left half span the meet."""
     _check_ambient(a, b)
@@ -533,9 +528,15 @@ def kernel(m: Matrix) -> Subspace:
     core leaves each of its rows as ints over a head, and each entry of the
     basis is built once from them.
     """
-    flipped = [m.row(i)[::-1] for i in range(m.rows)]
-    return _flipped_kernel(m.field, m.cols,
-                           flipped if m.field.char else [_primitive(r) for r in flipped])
+    return row_kernel(m.field, m.cols, [m.row(i) for i in range(m.rows)])
+
+
+def row_kernel(F, n, rows):
+    """`kernel` of the matrix with n columns and the given rows, with no
+    `Matrix` built: ints over F_p, reduced on entry; ints or `Fraction`s over
+    Q, each row made primitive."""
+    flipped = [r[::-1] for r in rows]
+    return _flipped_kernel(F, n, flipped if F.char else [_primitive(r) for r in flipped])
 
 
 def _flipped_kernel(F, n, flipped):

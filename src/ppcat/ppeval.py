@@ -1,7 +1,7 @@
 """Evaluating pp formulas on representations; free realizations; implication.
 
-eval assembles one block matrix whose kernel is the solution set of the
-equation system, then projects away the bound coordinates.  Implication is
+eval writes the equation rows straight from the module's path matrices, takes
+their kernel, then projects away the bound coordinates.  Implication is
 decided exactly through a free realization when the algebra is admissible,
 and relative to a supplied test set of modules otherwise.
 """
@@ -9,12 +9,13 @@ and relative to a supplied test set of modules otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .errors import AlgebraMismatch, NotAdmissible, SortMismatch, UncertifiedPair
-from .linalg import Matrix, Subspace, block_matrix, contains, kernel, project
+from .linalg import Matrix, Subspace, block_matrix, contains, project, row_kernel
 from .ppform import PpFormula, PpMap, PpPair, conj, exists, pad_free
 from .quiver import compose, RingElement
-from .rep import RepMorphism, Representation, act, cokernel_of, direct_sum, hom_space
+from .rep import RepMorphism, Representation, cokernel_of, direct_sum, hom_space, path_matrix
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,26 @@ def eval_formula(f: PpFormula, M: Representation) -> SortedSubspace:
 
 
 def _eval_formula(f: PpFormula, M: Representation) -> SortedSubspace:
+    """One block of rows per equation, each term c * path added into its
+    variable's columns from the path's memoised matrix on M."""
     F = M.field
     variables = f.all_vars()
-    index = {v.name: k for k, v in enumerate(variables)}
-    # one block row per equation; PpFormula has merged repeated variables
-    system = block_matrix(F, {(e, index[name]): act(M, coeff)
-                              for e, eq in enumerate(f.equations) for name, coeff in eq.coeffs},
-                          [M.dims[eq.target] for eq in f.equations],
-                          [M.dims[v.sort] for v in variables])
-    sol = kernel(system) if system.rows else Subspace.full(F, system.cols)
+    *offsets, n = accumulate((M.dims[v.sort] for v in variables), initial=0)
+    at = {v.name: o for v, o in zip(variables, offsets)}
+    rows = []
+    for eq in f.equations:
+        block = [[0] * n for _ in range(M.dims[eq.target])]
+        for name, coeff in eq.coeffs:
+            o = at[name]
+            for path, c in coeff.terms.items():
+                pm = path_matrix(M, path)
+                k, ents = pm.cols, pm.entries
+                for i, row in enumerate(block):
+                    for j, x in enumerate(ents[i * k:(i + 1) * k], o):
+                        if x:
+                            row[j] += c * x
+        rows.extend(block)
+    sol = row_kernel(F, n, rows) if rows else Subspace.full(F, n)
     nfree = sum(M.dims[v.sort] for v in f.free_vars)
     space = project(sol, range(nfree))
     return SortedSubspace(tuple((v.sort, M.dims[v.sort]) for v in f.free_vars), space)
@@ -214,11 +226,51 @@ def certify_pair(pair: PpPair, test_modules=None) -> PpPair:
     return pair.certify()
 
 
+def graph_check(rel: Subspace, phi, psi, phi2, psi2):
+    """The first functionality condition ("total", "top", "bottom") that the
+    relation rel in X + Y, X's columns first, breaks from phi/psi in X to
+    phi2/psi2 in Y, or None; and the lift x -> y along rel.  The RREF rows
+    of rel with pivot in X are the lift's graph; the others span
+    K = rel & (0 + Y).  So rel is total iff phi lies in its (prefix)
+    projection to X, and sends phi into phi2 (psi into psi2) iff K and the
+    lifts of phi's (psi's) basis lie there."""
+    F, p, nx = rel.field, rel.field.char, phi.ambient_dim
+    ny = rel.ambient_dim - nx
+    graph = [(pc, [(j - nx, y) for j, y in row if j >= nx])
+             for pc, row in zip(rel.pivots, rel.nonzero_rows) if pc < nx]
+    k = [row[nx:] for pc, row in zip(rel.pivots, rel.basis_rows()) if pc >= nx]
+
+    def lift(x):
+        y = [F.zero()] * ny
+        for pc, pairs in graph:
+            c = x[pc]
+            if c:
+                for j, v in pairs:
+                    y[j] += c * v
+        return tuple(v % p for v in y) if p else tuple(y)
+
+    if not contains(project(rel, range(nx)), phi):
+        return "total", lift
+    for failure, before, after in (("top", phi, phi2), ("bottom", psi, psi2)):
+        if not all(after.contains_vector(y)
+                   for y in chain(k, map(lift, before.basis_rows()))):
+            return failure, lift
+    return None, lift
+
+
 def check_pp_map(pm: PpMap, test_modules=None) -> bool:
-    """The three functionality conditions for a relation to define a map."""
+    """The three functionality conditions for a relation to define a map:
+    exactly through free realizations, or by `graph_check` on each test
+    module."""
     if not pm.source_pair.certified or not pm.target_pair.certified:
         raise UncertifiedPair("pp map between uncertified pairs")
     rho = pm.rho
+    if test_modules is not None:
+        pairs = (pm.source_pair.top, pm.source_pair.bottom,
+                 pm.target_pair.top, pm.target_pair.bottom)
+        return not any(graph_check(eval_formula(rho, M).space,
+                                   *(eval_formula(f, M).space for f in pairs))[0]
+                       for M in test_modules)
     n = pm.n_inputs
     xs = [v.name for v in rho.free_vars[:n]]
     ys = [v.name for v in rho.free_vars[n:]]
@@ -227,7 +279,7 @@ def check_pp_map(pm: PpMap, test_modules=None) -> bool:
 
     # totality: phi <= exists ybar rho
     tot = exists(rho, ys)
-    if not pp_implies(phi, tot, test_modules).holds:
+    if not pp_implies(phi, tot).holds:
         return False
     # (rho & phi) <= phi'  and  (rho & psi) <= psi'   (padded over xbar)
     src_sorts = pm.source_pair.free_sorts
@@ -236,7 +288,7 @@ def check_pp_map(pm: PpMap, test_modules=None) -> bool:
                       identify=[(xn, bn) for xn, bn
                                 in zip(xs, [v.name for v in before.free_vars])])
         padded = pad_free(after, src_sorts, front=True)
-        if not pp_implies(merged, padded, test_modules).holds:
+        if not pp_implies(merged, padded).holds:
             return False
     return True
 

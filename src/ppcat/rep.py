@@ -168,14 +168,14 @@ def act(m: Representation, r: RingElement) -> Matrix:
     if len(r.terms) == 1:
         (path, coeff), = r.terms.items()
         if F.is_zero(F.sub(coeff, F.one())):
-            return _path_matrix(m, path)
+            return path_matrix(m, path)
     out = Matrix.zero(F, m.dims[r.target], m.dims[r.source])
     for path, coeff in r.terms.items():
-        out = out.add(_path_matrix(m, path).scale(coeff))
+        out = out.add(path_matrix(m, path).scale(coeff))
     return out
 
 
-def _path_matrix(m: Representation, path) -> Matrix:
+def path_matrix(m: Representation, path) -> Matrix:
     """The matrix of a path on m, multiplied out once per module."""
     acc = m._path_matrices.get(path)
     if acc is None:

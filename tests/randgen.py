@@ -32,12 +32,16 @@ def paths_up_to_len2(quiver, src, tgt):
     return out
 
 
-def random_formula(rng, alg, max_vars=3, max_eqs=3):
+def random_formula(rng, alg, max_vars=3, max_eqs=3, free_sorts=None):
+    """A random formula; its free variables have the given sorts, or random
+    ones (the draws are then those of a call without free_sorts)."""
     field = alg.field
     verts = alg.quiver.vertices
-    nfree = rng.randrange(1, max_vars)
-    nbound = rng.randrange(0, max_vars - nfree + 1)
-    vs = [Var("x%d" % i, rng.choice(verts)) for i in range(nfree)] + \
+    nfree = rng.randrange(1, max_vars) if free_sorts is None else len(free_sorts)
+    nbound = rng.randrange(0, max(max_vars - nfree, 0) + 1)
+    if free_sorts is None:
+        free_sorts = [rng.choice(verts) for _ in range(nfree)]
+    vs = [Var("x%d" % i, s) for i, s in enumerate(free_sorts)] + \
          [Var("y%d" % i, rng.choice(verts)) for i in range(nbound)]
     eqs = []
     for _ in range(rng.randrange(0, max_eqs + 1)):

@@ -135,20 +135,20 @@ def test_validate_then_apply_evaluates_each_pair_once(monkeypatch):
     ws = load_builtin("d4tilde")
     I4, M0 = ws.get("interp", "I4"), ws.get("module", "M0")
     calls = []  # (formula, module): the module objects stay alive, so ids stay unique
-    kernels = []
-    eval_formula, kernel = ppeval.eval_formula, ppeval.kernel
+    kernels = []  # the one elimination of each evaluation, on its rows
+    eval_formula, row_kernel = ppeval.eval_formula, ppeval.row_kernel
 
     def counting_eval(f, M):
         calls.append((f, M))
         return eval_formula(f, M)
 
-    def counting_kernel(m):
-        kernels.append(m)
-        return kernel(m)
+    def counting_kernel(F, n, rows):
+        kernels.append(rows)
+        return row_kernel(F, n, rows)
 
     monkeypatch.setattr(ppeval, "eval_formula", counting_eval)
     monkeypatch.setattr(interp, "eval_formula", counting_eval)
-    monkeypatch.setattr(ppeval, "kernel", counting_kernel)
+    monkeypatch.setattr(ppeval, "row_kernel", counting_kernel)
     interp.validate(I4)
     interp.apply(I4, M0)
     distinct = {(f, id(M)) for f, M in calls

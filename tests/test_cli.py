@@ -377,7 +377,10 @@ def test_exit_code_2_on_functor_index_out_of_range():
     assert doc["error_kind"] == "UnresolvedReference"
 
 
-@pytest.mark.parametrize("spec", ["row:x", "simple:x"])
+# only the .ppc decimal digits name an index: "row:\u0661" (an Arabic-Indic one)
+# and "row:1_0" were read by int() as rows 1 and 10
+@pytest.mark.parametrize("spec", ["row:x", "simple:x", "row:\u0661", "row:1_0", "row: 1",
+                                  "row:+1", "row:", "simple:-0"])
 def test_exit_code_2_on_non_integer_functor_index(spec):
     code, doc, _ = invoke(["funcat-eval", "--builtin", "a2", "--modules", "P1,P2,S1",
                            "--functor", spec, "--argument", "P1"])

@@ -1,5 +1,8 @@
+import importlib.resources
+
 import pytest
 
+from ppcat.dsl import parse
 from ppcat.errors import InducedMapUndefined, NotValidated
 from ppcat.interp import (
     InterpretationFunctor, apply, apply_morphism, check_rep_embedding,
@@ -12,7 +15,7 @@ from ppcat.ppform import (
 )
 from ppcat.quiver import Arrow, Quiver, QuiverAlgebra, RingElement, make_path
 from ppcat.rep import Representation, hom_space, direct_sum, are_isomorphic
-from ppcat.scalars import QQ
+from ppcat.scalars import QQ, PrimeField
 
 from fixtures import (
     a1tilde_algebra, d4tilde_algebra, jordan_module, loop_algebra, rep,
@@ -172,6 +175,41 @@ def test_d4_round_trip():
     assert validate(JD4).valid
     report = round_trip_check(ID4, JD4, fixtures_list)
     assert report.all_isomorphic
+
+
+@pytest.mark.parametrize("builtin,forward,back", [("a1tilde", "I", "J"),
+                                                   ("d4tilde", "I4", "J4")])
+def test_round_trip_over_f7(builtin, forward, back):
+    # the fixture with its field made F_7: the functors validate and round-trip there too
+    text = importlib.resources.files("ppcat").joinpath("fixtures/%s.ppc" % builtin) \
+        .read_text("utf-8")
+    assert "field Q;" in text
+    ws = parse(text.replace("field Q;", "field F 7;"))
+    I, J = ws.get("interp", forward), ws.get("interp", back)
+    assert I.source_algebra.field.char == 7
+    assert validate(I).valid and validate(J).valid
+    report = round_trip_check(I, J, ws.get("fixture", "jordan"))
+    assert report.all_isomorphic
+    assert all(certain for _, _, certain in report.results)
+
+
+def test_apply_reduces_the_lift_mod_5():
+    # phi(x) = (exists z. x = t z) is spanned by (1, 2) on this module, and
+    # y = 3x lifts it to (3, 6) = (3, 1) over F_5
+    F5 = PrimeField(5)
+    kt = loop_algebra(F5)
+    a2 = QuiverAlgebra("KA2", Quiver("A2", ("1", "2"), (Arrow("a", "1", "2"),)), F5)
+    M = rep(kt, {"v": 2}, {"t": [[1, 0], [2, 0]]})
+    e = RingElement.lazy(F5, "v")
+    div_t = PpFormula(kt, [Var("x", "v")], [Var("z", "v")],
+                      [Equation("v", (("x", e), ("z", kt.arrow_element("t").neg())))])
+    F = InterpretationFunctor(
+        "Div", kt, a2,
+        vertex_sorts={"1": PpPair(div_t, zero_formula(kt, ("v",))), "2": home_pair(kt, "v")},
+        arrow_maps={"a": multiplication_map_formula(kt, e.scale(3))},
+        test_modules=[M])
+    assert validate(F).valid
+    assert apply(F, M).maps["a"] == Matrix.from_rows(F5, [[3], [1]])
 
 
 def morita_algebra():
