@@ -259,7 +259,7 @@ def _morphism_from_blocks(source, target, blocks_json):
                 entry = Parser(str(x))
                 entry.ws.field = F
                 ents.append(entry.scalar())
-                if entry.peek().kind != "eof":
+                if entry.peek() != "":
                     entry.fail("the end of the scalar")
         blocks[v] = Matrix(F, want[0], want[1], tuple(ents))
     return RepMorphism(source, target, blocks)

@@ -8,7 +8,9 @@ serialize every number as a decimal string so exact values survive.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ParseError, SortError, UnresolvedReference
@@ -71,74 +73,51 @@ class Workspace:
 # -- tokenizer -------------------------------------------------------------
 
 
-PUNCT = ("->", "{", "}", "(", ")", "[", "]", ";", ":", ",", "*", "+", "-", "/", ".", "=")
-
-
-@dataclass
-class Token:
-    kind: str   # name, int, punct, eof
-    text: str
-    line: int
-    col: int
-
+# Blanks (space, tab, CR, LF) and comments, then one token: '->', an int of
+# decimal digits, a run of word characters, any other single character, or
+# "" at the end of input.  A match can always end in a token, so the scan
+# never backtracks into the blanks and comments before it.
+TOKEN = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(->|[0-9]+|\w+|.|\Z)")
 
 # decimal digits only: str.isdigit also accepts superscripts, which int() refuses
 DIGITS = frozenset("0123456789")
 
+# tokens that are valid without a look at their first character
+KNOWN = frozenset("{}()[];:,*+-/.=") | {"->", ""} | KEYWORDS
+
 
 def tokenize(text):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in DIGITS:
-            j = i
-            while j < n and text[j] in DIGITS:
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            toks.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "{}()[];:,*+-/.=":
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, "a token", c)
-    toks.append(Token("eof", "", line, col))
+    """The token texts of text, ending in "" for the end of input.
+
+    A token's first character gives its kind: a decimal digit starts an int,
+    a letter or '_' a name (which goes on with letters, digits or '_'), and
+    any other character is punctuation.  A character outside a comment that
+    starts none of these is a ParseError where it stands."""
+    toks = TOKEN.findall(text)
+    if len(toks) > 1 and toks[-2] == "":
+        toks.pop()  # blanks or a comment at the end also match an empty tail
+    bad = [t for t in set(toks).difference(KNOWN)
+           if not (t[0] in DIGITS or t[0].isalpha() or t[0] == "_")]
+    if bad:
+        k = min(map(toks.index, bad))
+        raise ParseError(*position(text, k), "a token", toks[k][0])
     return toks
+
+
+def position(text, k):
+    """The line and column of token k of text, both from 1.  A comment takes
+    no columns, so the end of input after a last comment is at its '#'."""
+    m = next(itertools.islice(TOKEN.finditer(text), k, None))
+    at = m.start(1)
+    start = text.rfind("\n", 0, at) + 1
+    if at == len(text) and "#" in text[start:]:
+        at = text.index("#", start)
+    return text.count("\n", 0, at) + 1, at - start + 1
 
 
 class Parser:
     def __init__(self, text, workspace=None):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
         self.ws = workspace if workspace is not None else Workspace()
@@ -153,46 +132,52 @@ class Parser:
         self.pos += 1
         return t
 
-    def fail(self, expected):
-        t = self.peek()
-        raise ParseError(t.line, t.col, expected, t.text or "end of input")
+    def where(self, i=None):
+        """"line:col" of token i, the current token by default."""
+        return "%d:%d" % position(self.text, self.pos if i is None else i)
+
+    def fail(self, expected, i=None):
+        """A ParseError at token i, the current token by default."""
+        i = self.pos if i is None else i
+        raise ParseError(*position(self.text, i), expected, self.toks[i] or "end of input")
 
     def expect(self, text):
-        t = self.peek()
-        if (t.kind == "punct" or t.kind == "name") and t.text == text:
-            return self.next()
-        self.fail("%r" % text)
+        if self.toks[self.pos] != text:
+            self.fail("%r" % text)
+        self.pos += 1
 
     def accept(self, text):
-        t = self.peek()
-        if t.kind in ("punct", "name") and t.text == text:
-            self.next()
+        if self.toks[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
     def name(self, what="a name"):
-        t = self.peek()
-        if t.kind == "name" and t.text not in KEYWORDS:
-            return self.next().text
+        t = self.toks[self.pos]
+        if (t[:1].isalpha() or t[:1] == "_") and t not in KEYWORDS:
+            self.pos += 1
+            return t
         self.fail(what)
 
     def vertex_name(self):
-        t = self.peek()
-        if t.kind == "int":
-            return self.next().text
+        t = self.toks[self.pos]
+        if t[:1] in DIGITS:
+            self.pos += 1
+            return t
         return self.name("a vertex name")
 
     def integer(self):
-        t = self.peek()
-        if t.kind == "int":
-            return int(self.next().text)
+        t = self.toks[self.pos]
+        if t[:1] in DIGITS:
+            self.pos += 1
+            return int(t)
         self.fail("an integer")
 
     def vertex_checked(self, vertices):
-        t = self.peek()
+        i = self.pos
         v = self.vertex_name()
         if v not in vertices:
-            raise ParseError(t.line, t.col, "a vertex of the quiver", v)
+            self.fail("a vertex of the quiver", i)
         return v
 
     # -- scalars --
@@ -202,10 +187,10 @@ class Parser:
         neg = self.accept("-")
         num = self.integer()
         if self.accept("/"):
-            t = self.peek()
+            i = self.pos
             den = self.integer()
             if F.is_zero(F.from_int(den)):
-                raise ParseError(t.line, t.col, "a denominator nonzero in %s" % F, t.text)
+                self.fail("a denominator nonzero in %s" % F, i)
             val = F.from_fraction(num, den)
         else:
             val = F.from_int(num)
@@ -214,40 +199,37 @@ class Parser:
     # -- entry point --
 
     def parse_file(self):
-        if self.peek().kind == "name" and self.peek().text == "field":
-            self.next()
-            t = self.peek()
-            if t.kind == "name" and t.text == "Q":
-                self.next()
+        if self.accept("field"):
+            if self.accept("Q"):
                 self.ws.field = QQ
-            elif t.kind == "name" and t.text == "F":
-                self.next()
+            elif self.accept("F"):
                 self.ws.field = PrimeField(self.integer())
             else:
                 self.fail("'Q' or 'F <prime>'")
             self.ws.field_declared = True
             self.expect(";")
-        while self.peek().kind != "eof":
+        while self.toks[self.pos]:
             self.declaration()
         return self.ws
 
+    # the method that parses each declaration, by its keyword; looked up by
+    # name, so that a method replaced on the class (as by a tracer) is called
+    DECLARATIONS = {
+        "quiver": "quiver_decl",
+        "algebra": "algebra_decl",
+        "module": "module_decl",
+        "rightmodule": "module_decl",
+        "pp": "pp_decl",
+        "pair": "pair_decl",
+        "interp": "interp_decl",
+        "fixture": "fixture_decl",
+    }
+
     def declaration(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.fail("a declaration keyword")
-        handler = {
-            "quiver": self.quiver_decl,
-            "algebra": self.algebra_decl,
-            "module": lambda: self.module_decl(False),
-            "rightmodule": lambda: self.module_decl(True),
-            "pp": self.pp_decl,
-            "pair": self.pair_decl,
-            "interp": self.interp_decl,
-            "fixture": self.fixture_decl,
-        }.get(t.text)
+        handler = self.DECLARATIONS.get(self.toks[self.pos])
         if handler is None:
             self.fail("a declaration keyword")
-        handler()
+        getattr(self, handler)()
 
     # -- declarations --
 
@@ -260,20 +242,21 @@ class Parser:
         self.expect("vertices")
         verts = []
         while True:
-            t = self.peek()
+            i = self.pos
             v = self.vertex_name()
             if v in verts:
-                raise ParseError(t.line, t.col, "a new vertex name (duplicate vertex)", v)
+                self.fail("a new vertex name (duplicate vertex)", i)
             verts.append(v)
-            if self.peek().kind not in ("name", "int") or self.peek().text == "arrow":
+            t = self.toks[self.pos]
+            if not (t[:1] in DIGITS or t[:1].isalpha() or t[:1] == "_") or t == "arrow":
                 break
         self.expect(";")
         arrows = []
         while self.accept("arrow"):
-            t = self.peek()
+            i = self.pos
             anm = self.name("an arrow name")
             if any(a.name == anm for a in arrows):
-                raise ParseError(t.line, t.col, "a new arrow name (duplicate arrow)", anm)
+                self.fail("a new arrow name (duplicate arrow)", i)
             self.expect(":")
             s = self.vertex_checked(verts)
             self.expect("->")
@@ -307,9 +290,9 @@ class Parser:
         alg = QuiverAlgebra(name, quiver, self.ws.field, tuple(relations), bound)
         self.ws.add(Decl("algebra", name, alg, {"quiver": qname}))
 
-    def module_decl(self, right):
-        kind = "rightmodule" if right else "module"
-        self.expect(kind)
+    def module_decl(self):
+        kind = self.next()
+        right = kind == "rightmodule"
         name = self.name()
         self.expect("over")
         aname = self.name()
@@ -317,25 +300,28 @@ class Parser:
         self.expect("{")
         dims = {}
         while self.accept("dim"):
+            i = self.pos
             v = self.vertex_name()
             if v not in alg.quiver.vertices:
-                t = self.peek()
-                raise SortError("%d:%d: %s is not a vertex of %s"
-                                % (t.line, t.col, v, aname))
+                raise SortError("%s: %s is not a vertex of %s" % (self.where(), v, aname))
+            if v in dims:
+                self.fail("a new vertex name (duplicate dim)", i)
             self.expect("=")
-            t = self.peek()
+            i = self.pos
             dims[v] = self.integer()
             if dims[v] > MAX_DIM:
-                raise ParseError(t.line, t.col, "a dimension of at most %d" % MAX_DIM, t.text)
+                self.fail("a dimension of at most %d" % MAX_DIM, i)
             self.expect(";")
         maps = {}
         while self.accept("map"):
-            t = self.peek()
+            i = self.pos
             anm = self.name("an arrow name")
             try:
                 arrow = alg.quiver.arrow(anm)
             except Exception:
-                raise ParseError(t.line, t.col, "an arrow of the quiver", anm)
+                self.fail("an arrow of the quiver", i)
+            if anm in maps:
+                self.fail("a new arrow name (duplicate map)", i)
             self.expect("=")
             rows = self.matrix_literal()
             self.expect(";")
@@ -352,9 +338,7 @@ class Parser:
     def rows_to_matrix(self, rows, shape):
         r, c = shape
         if len(rows) != r or any(len(row) != c for row in rows):
-            t = self.peek()
-            raise SortError("%d:%d: matrix shape %dx%d expected"
-                            % (t.line, t.col, r, c))
+            raise SortError("%s: matrix shape %dx%d expected" % (self.where(), r, c))
         return Matrix.from_rows(self.ws.field, rows) if r else \
             Matrix(self.ws.field, 0, c, ())
 
@@ -385,10 +369,7 @@ class Parser:
     def path_atom(self, quiver):
         if self.accept("id"):
             self.expect("(")
-            t = self.peek()
-            v = self.vertex_name()
-            if v not in quiver.vertices:
-                raise ParseError(t.line, t.col, "a vertex of the quiver", v)
+            v = self.vertex_checked(quiver.vertices)
             self.expect(")")
             return Path.lazy(v)
         names = [self.name("an arrow name")]
@@ -400,8 +381,8 @@ class Parser:
     def ring_term(self, quiver):
         F = self.ws.field
         coeff = F.one()
-        t = self.peek()
-        if t.kind == "int" or (t.kind == "punct" and t.text == "-"):
+        t = self.toks[self.pos]
+        if t[:1] in DIGITS or t == "-":
             coeff = self.scalar()
             self.expect("*")
         p = self.path_atom(quiver)
@@ -421,8 +402,7 @@ class Parser:
                 src, tgt = p.source, p.target
                 first = False
             elif (p.source, p.target) != (src, tgt):
-                t = self.peek()
-                raise SortError("%d:%d: mixed sorts in ring element" % (t.line, t.col))
+                raise SortError("%s: mixed sorts in ring element" % self.where())
             terms[p] = F.add(terms.get(p, F.zero()), c)
             if self.accept("+"):
                 neg = False
@@ -490,10 +470,7 @@ class Parser:
             else:
                 break
         self.expect("=")
-        t = self.peek()
-        if t.kind == "int" and t.text == "0":
-            self.next()
-        else:
+        if not self.accept("0"):
             self.fail("'0'")
         self.expect(";")
         order = [(v, e) for v, e in coeffs.items() if not e.is_zero()]
@@ -507,32 +484,27 @@ class Parser:
         coeff_scalar = F.one()
         coeff_elem = None
         while True:
-            t = self.peek()
-            if t.kind == "int":
+            t = self.toks[self.pos]
+            if t[:1] in DIGITS:
                 coeff_scalar = F.mul(coeff_scalar, self.scalar())
                 self.expect("*")
                 continue
-            if t.kind == "punct" and t.text == "(":
-                self.next()
+            if t == "(":
+                self.pos += 1
                 coeff_elem = self.ring_expr(alg.quiver)
                 self.expect(")")
                 self.expect("*")
                 continue
-            if t.kind == "name" and t.text == "id":
+            if t == "id":
                 coeff_elem = RingElement.from_path(F, self.path_atom(alg.quiver))
                 self.expect("*")
                 continue
-            if t.kind == "name" and t.text not in KEYWORDS:
-                if t.text in declared:
-                    nxt = self.toks[self.pos + 1]
-                    if nxt.kind == "punct" and nxt.text in (".", "*"):
-                        # an arrow name that happens to shadow nothing: only
-                        # variables terminate a term, so a following '.'/'*'
-                        # means this is a path atom
-                        pass
-                    else:
-                        var = self.next().text
-                        break
+            if (t[:1].isalpha() or t[:1] == "_") and t not in KEYWORDS:
+                # only variables end a term, so a declared name followed by
+                # '.' or '*' is an arrow name that starts a path atom
+                if t in declared and self.toks[self.pos + 1] not in (".", "*"):
+                    var = self.next()
+                    break
                 try:
                     coeff_elem = RingElement.from_path(F, self.path_atom(alg.quiver))
                 except Exception:
@@ -543,7 +515,7 @@ class Parser:
         sort = declared[var]
         if coeff_elem is None:
             coeff_elem = RingElement.lazy(F, sort)
-        elem = coeff_elem.scale(coeff_scalar)
+        elem = coeff_elem if coeff_scalar == F.one() else coeff_elem.scale(coeff_scalar)
         if elem.source != sort:
             raise SortError("coefficient source %s does not match the sort %s of %s"
                             % (elem.source, sort, var))
@@ -595,7 +567,10 @@ class Parser:
         sorts = {}
         sort_refs = {}
         while self.accept("sort"):
+            i = self.pos
             v = self.vertex_checked(target.quiver.vertices)
+            if v in sorts:
+                self.fail("a new vertex name (duplicate sort)", i)
             self.expect("=")
             pname = self.name()
             sorts[v] = self.ws.get("pair", pname)
@@ -604,7 +579,10 @@ class Parser:
         arrows = {}
         arrow_refs = {}
         while self.accept("arrow"):
+            i = self.pos
             anm = self.name("an arrow name")
+            if anm in arrows:
+                self.fail("a new arrow name (duplicate arrow)", i)
             self.expect("=")
             fname = self.name()
             arrows[anm] = self.ws.get("pp", fname)

@@ -1,7 +1,10 @@
+import importlib.resources
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcat.cli import run
 
@@ -447,3 +450,43 @@ def test_help_still_exits_0(capsys):
         run(["eval", "--help"], stdout=io.StringIO())
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ppcat eval")
+
+
+# -- fuzzing the CLI through --file ------------------------------------------
+
+FUZZ_PIECES = ["->", "#", " ", "\t", "\r", "\n", "\xa0", "\x0b", "é", "ß", "ǅ", "²", "½", "Ⅻ",
+               "\U0001d7d8", "١", "a", "_", "0", "1", "-", ">", "{", "}", "(", ")", "[", "]",
+               ";", ":", ",", "*", "+", "/", ".", "=", "1/0", "field F 4;"]
+FUZZ_RUNS = [
+    ("a2", ["eval", "--formula", "div_a", "--module", "P2"]),
+    ("a2", ["pair-eval", "--pair", "q1", "--module", "S1"]),
+    ("a2", ["implies", "--from", "ann_a", "--to", "top1"]),
+    ("a2", ["dual", "--formula", "div_a"]),
+    ("a2", ["freereal", "--formula", "div_a"]),
+    ("a1tilde", ["freereal", "--formula", "rho_b"]),
+    ("keps", ["pair-eval", "--pair", "socle_pair", "--module", "R"]),
+    ("morita2", ["interp-validate", "--interp", "Sq"]),
+    ("a1tilde", ["interp-validate", "--interp", "J"]),
+]
+FUZZ_TEXTS = {name: importlib.resources.files("ppcat").joinpath("fixtures/%s.ppc" % name)
+              .read_text("utf-8") for name, _ in FUZZ_RUNS}
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.sampled_from(FUZZ_RUNS),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                          st.sampled_from(FUZZ_PIECES)), min_size=1, max_size=3))
+def test_fuzzed_fixture_files_end_in_one_report(tmp_path_factory, run_spec, edits):
+    """Characters inserted into and deleted from a shipped fixture: every
+    run exits 0, 2 or 3 with one JSON report, and none raises."""
+    name, argv = run_spec
+    text = FUZZ_TEXTS[name]
+    for at, drop, piece in edits:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at + drop:]
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.ppc"
+    path.write_text(text, encoding="utf-8")
+    code, doc, _ = invoke(argv + ["--file", str(path)])
+    assert code in (0, 2, 3), (code, doc)
+    assert doc["schema"] == "ppcat_report_v1"
+    assert code == 0 or doc["error_kind"]

@@ -111,6 +111,27 @@ BROKEN = [
     ("quiver Q1 { vertices 1; }\nalgebra A { quiver Q1; }\ninterp I from A to A { mode maybe; }", 3, 29),
 ]
 
+# The same entry twice in one declaration: a ParseError at the second name.
+INTERP_HEAD = (
+    "quiver Pt { vertices 1; }\nalgebra K { quiver Pt; }\n"
+    "quiver Q { vertices 1 2; arrow u: 1 -> 2; }\nalgebra B { quiver Q; }\n"
+    "pp all over K { free x:1; }\npp none over K { free x:1; eq 1: x = 0; }\n"
+    "pair p over K { top all; bottom none; }\n"
+    "pp ident over K { free x:1, y:1; eq 1: y - x = 0; }\n")
+REPEATED = [
+    ("quiver Q1 { vertices 1; }\nalgebra A { quiver Q1; }\n"
+     "module M over A { dim 1 = 1; dim 1 = 2; }", 3, 34,
+     "a new vertex name (duplicate dim)", "1"),
+    ("quiver Q { vertices 1 2; arrow a: 1 -> 2; }\nalgebra A { quiver Q; }\n"
+     "module M over A { dim 1 = 1; dim 2 = 1; map a = [[1]]; map a = [[2]]; }", 3, 60,
+     "a new arrow name (duplicate map)", "a"),
+    (INTERP_HEAD + "interp I from K to B { mode exact; sort 1 = p; sort 1 = p; sort 2 = p; "
+     "arrow u = ident; }", 9, 53, "a new vertex name (duplicate sort)", "1"),
+    (INTERP_HEAD + "interp I from K to B { mode exact; sort 1 = p; sort 2 = p; "
+     "arrow u = ident; arrow u = ident; }", 9, 83, "a new arrow name (duplicate arrow)", "u"),
+]
+BROKEN += [(text, line, col) for text, line, col, _, _ in REPEATED]
+
 
 def test_broken_corpus_positions():
     for text, line, col in BROKEN:
@@ -122,6 +143,19 @@ def test_broken_corpus_positions():
             assert exc.value.col >= 1
             lines = text.split("\n")
             assert exc.value.col <= len(lines[exc.value.line - 1]) + 1
+
+
+@pytest.mark.parametrize("text, line, col, expected, found", REPEATED)
+def test_repeated_entries_are_refused(text, line, col, expected, found):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == "%d:%d: expected %s, found %r" % (line, col, expected, found)
+
+
+def test_interp_head_parses_without_a_repeat():
+    ws = parse(INTERP_HEAD + "interp I from K to B { mode exact; sort 1 = p; sort 2 = p; "
+               "arrow u = ident; }")
+    assert ws.get("interp", "I").name == "I"
 
 
 def test_error_points_into_token():
