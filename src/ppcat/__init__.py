@@ -23,6 +23,6 @@ from .funcat import (
     simple_module, SerreData,
 )
 from .tensor import purity_pp, purity_tensor, tensor
-from .dsl import emit_report, load_builtin, parse, parse_file, print_workspace
+from .dsl import emit_report, load_builtin, parse, parse_file
 
 __version__ = "0.1.0"

@@ -278,10 +278,13 @@ class Parser:
         relations = []
         bound = None
         while True:
+            i = self.pos
             if self.accept("relation"):
                 relations.append(self.ring_expr(quiver))
                 self.expect(";")
             elif self.accept("nilpotent"):
+                if bound is not None:
+                    self.fail("'relation' or '}' (duplicate nilpotent)", i)
                 bound = self.integer()
                 self.expect(";")
             else:
@@ -578,9 +581,12 @@ class Parser:
             self.expect(";")
         arrows = {}
         arrow_refs = {}
+        arrow_names = {a.name for a in target.quiver.arrows}
         while self.accept("arrow"):
             i = self.pos
             anm = self.name("an arrow name")
+            if anm not in arrow_names:
+                self.fail("an arrow of the quiver", i)
             if anm in arrows:
                 self.fail("a new arrow name (duplicate arrow)", i)
             self.expect("=")
@@ -731,13 +737,6 @@ def print_item(decl: Decl, field) -> str:
     if kind == "fixture":
         return "fixture %s {\n  modules %s;\n}" % (name, ", ".join(refs["modules"]))
     raise UnresolvedReference("unknown declaration kind %r" % kind)
-
-
-def print_workspace(ws: Workspace) -> str:
-    head = ""
-    if ws.field_declared or ws.field != QQ:
-        head = "field Q;\n\n" if ws.field.kind == "Q" else "field F %d;\n\n" % ws.field.p
-    return head + "\n\n".join(print_item(d, ws.field) for d in ws.decls) + "\n"
 
 
 # -- reports ----------------------------------------------------------------

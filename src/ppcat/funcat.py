@@ -11,20 +11,17 @@ the eSe-module Xe, so quotient homs and isomorphisms are those of the Xe.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
 
 from .errors import (
     AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, IsomorphicSummands, NotASubspace,
     NotSplitEndo, PpcatError,
 )
 from .linalg import (
-    Matrix, QuotientSpace, Subspace, block_matrix, commuting_solutions, kernel, row_apply,
-    sparse_commuting_equations, sparse_span, trace_form_radical, trace_gram,
+    QuotientSpace, Subspace, block_matrix, commuting_solutions, kernel, sparse_commuting_equations,
+    sparse_span,
 )
 from .ppeval import eval_pair
-from .quiver import QuiverAlgebra, compose
 from .rep import (
     RepMorphism, coordinate_map, direct_sum, endo_radical, find_invertible, hom_space,
     linear_combination,
@@ -34,23 +31,23 @@ from .rep import (
 class FiniteAlgebra:
     """A finite-dimensional algebra by structure constants.
 
-    Products read left to right: mul(a, b) is "a then b" (for endomorphism
+    Products read left to right: "a b" is "a then b" (for endomorphism
     algebras this is composition b o a), so right modules over an Auslander
     algebra decompose by which summand a morphism starts from.
 
-    `constants` comes in one of two forms: sparse, a mapping (i, j) -> the
-    (k, c) pairs of b_i b_j = sum c b_k (a pair missing from it multiplies to
-    zero), or the dense n x n table of coordinate tuples, converted once.
-    Only the nonzero constants are kept; `table` rebuilds the dense form.
+    `constants` maps (i, j) to the (k, c) pairs of b_i b_j = sum c b_k; a
+    pair missing from it multiplies to zero.  Only the nonzero constants are
+    kept.  The constructor checks no algebra axiom: the algebras ppcat
+    builds (`auslander_algebra`, the corners of `quotient_modules`) are
+    basic by construction, with their primitive idempotents among their
+    basis elements, and store their radical.
     """
 
-    def __init__(self, field, labels, constants, idempotents, validate=True):
+    def __init__(self, field, labels, constants, idempotents):
         self.field = field
         self.labels = tuple(labels)
         self.idempotents = tuple(tuple(e) for e in idempotents)
         n = len(self.labels)
-        if not isinstance(constants, Mapping):
-            constants = _constants_of_table(constants, n)
         # row i: j -> the nonzero (k, c) of b_i b_j, as field values
         add, zero, is_zero = field.add, field.zero(), field.is_zero
         rows = [{} for _ in range(n)]
@@ -61,54 +58,19 @@ class FiniteAlgebra:
             if cell:
                 rows[i][j] = cell
         self._rows = tuple(rows)
-        one = field.one()
-        self._basis = tuple(tuple(one if i == k else zero for i in range(n)) for k in range(n))
-        self._radical = None  # memo of radical()
-        # memos of regular_module() (filled only when it is called) and of
-        # projective_row (k -> e_k S), kept as sparse actions (with the dim
-        # for a row) so that they hold no module pointing back at self
-        self._regular = None
+        self._radical = None  # stored by the construction, see radical()
+        # memo of projective_row (k -> e_k S), kept as the dim and sparse
+        # action so that it holds no module pointing back at self
         self._projective_rows = {}
-        if validate:
-            self._validate()
 
     @property
     def dim(self):
         return len(self.labels)
 
-    @property
-    def table(self):
-        """The dense multiplication table: cell (i, j) holds the coordinates of
-        b_i b_j.  Built anew on every call."""
-        return tuple(tuple(self._dense(dict(row.get(j, ()))) for j in range(self.dim))
-                     for row in self._rows)
-
-    def zero_vector(self):
-        return (self.field.zero(),) * self.dim
-
-    def basis_vector(self, k):
-        return self._basis[k]
-
-    def unit_vector(self):
-        F = self.field
-        out = list(self.zero_vector())
-        for e in self.idempotents:
-            out = [F.add(a, b) for a, b in zip(out, e)]
-        return tuple(out)
-
-    def mul(self, a, b):
-        return self._dense(self._sparse_mul(self._sparse(a), self._sparse(b)))
-
     def _sparse(self, vec):
         """vec as {index: nonzero coordinate}, the coordinates as field values."""
         add, zero = self.field.add, self.field.zero()
         return {k: c for k, c in ((k, add(zero, c)) for k, c in enumerate(vec) if c) if c}
-
-    def _dense(self, vec):
-        out = list(self.zero_vector())
-        for k, c in vec.items():
-            out[k] = c
-        return tuple(out)
 
     def _sparse_mul(self, a, b):
         """a b for a and b given as {index: nonzero coordinate}, in that form;
@@ -128,60 +90,19 @@ class FiniteAlgebra:
             return {k: v % p for k, v in acc.items() if v % p}
         return {k: v for k, v in acc.items() if v}
 
-    def regular_module(self):
-        """The right regular module; the action of b_k has row i equal to
-        b_i b_k, read off the structure constants (once per algebra)."""
-        if self._regular is None:
-            self._regular = tuple({i: tuple(sorted(row[k])) for i, row in enumerate(self._rows)
-                                   if k in row} for k in range(self.dim))
-        return FinModule(self, self.dim, self._regular, check=False)
-
     def radical(self) -> Subspace:
-        """Radical as a subspace of the coordinate space (char 0 or char >
-        dim); computed once, via the trace form of the regular
-        representation, unless the algebra's construction stored it:
-        `auslander_algebra` does, the radical of a basic Auslander algebra
-        being the span of its non-idempotent basis elements."""
+        """The radical as a subspace of the coordinate space, as the
+        algebra's construction stored it (`_store_basic_radical`).
+        Characteristic at most dim is refused: there the trace form, which
+        checks a stored radical, need not give the radical."""
         F = self.field
         d = self.dim
         if F.char != 0 and F.char <= d:
             raise CharacteristicTooSmall(
                 "characteristic %d too small for dim %d" % (F.char, d))
         if self._radical is None:
-            self._radical = trace_form_radical(self.regular_trace_gram())
+            raise PpcatError("no radical stored for this algebra")
         return self._radical
-
-    def regular_trace_gram(self) -> Matrix:
-        """The Gram matrix gram[a][b] = trace(R_a R_b) of the right regular
-        representation, R_a: b_i -> b_i b_a, read off the structure constants
-        (the matrix `trace_gram` gives on the `regular_module()` action).
-
-        With b_i b_a = sum_m c^m_ia b_m, trace(R_a R_b) is the sum over i and
-        m of c^m_ia c^i_mb.  So the nonzero constants are grouped by the pair
-        (i, m), as the (a, c^m_ia) with that pair, and each pair (i, m) adds
-        the products of its list with the list of the pair (m, i)."""
-        F, d = self.field, self.dim
-        p = F.char
-        by_pair = {}
-        for i, row in enumerate(self._rows):
-            for a, cell in row.items():
-                for m, c in cell:
-                    by_pair.setdefault((i, m), []).append((a, c))
-        gram = [[0 if p else F.zero()] * d for _ in range(d)]
-        for (i, m), left in by_pair.items():
-            right = by_pair.get((m, i))
-            if right:
-                for a, x in left:
-                    out = gram[a]
-                    for b, y in right:
-                        out[b] += x * y
-        if p:
-            gram = [[x % p for x in row] for row in gram]
-        return Matrix(F, d, d, tuple(chain.from_iterable(gram)))
-
-    def corner(self, k, l):
-        """Basis vectors of e_k A e_l."""
-        return self._corner(self._sparse(self.idempotents[k]), self._sparse(self.idempotents[l]))
 
     def _corner(self, e, f):
         """e A f, for e and f given as {index: nonzero coordinate}: the span
@@ -192,154 +113,36 @@ class FiniteAlgebra:
             self._sparse_mul(self._sparse_mul(e, {i: one}), f)
             for i in {i for a in e for i in self._rows[a]}])
 
-    def _validate(self):
-        n = self.dim
-        self._check_associative()
-        one = self._sparse(self.unit_vector())
-        for i in range(n):
-            b = {i: self.field.one()}
-            if self._sparse_mul(one, b) != b or self._sparse_mul(b, one) != b:
-                raise PpcatError("idempotents do not sum to a unit")
-        idempotents = [self._sparse(e) for e in self.idempotents]
-        for a, ea in enumerate(idempotents):
-            for b, eb in enumerate(idempotents):
-                if self._sparse_mul(ea, eb) != (ea if a == b else {}):
-                    raise PpcatError("idempotents are not orthogonal")
-        # primitivity: each corner is local (corner / corner-radical is 1-dim)
-        for k in range(len(self.idempotents)):
-            c = self.corner(k, k)
-            if c.dim == 0:
-                raise PpcatError("zero idempotent")
-            if self._corner_residue_dim(c) != 1:
-                raise NotSplitEndo("idempotent %d is not primitive with split corner" % k)
 
-    def _check_associative(self):
-        """(b_i b_j) b_k = b_i (b_j b_k) for every triple of basis elements,
-        exactly.  Both sides are sums over structure constants: the left one
-        is sum_m c_m (b_m b_k) over the terms c_m b_m of b_i b_j, the right one
-        sum_m c_m (b_i b_m) over the terms of b_j b_k.  So for a pair (i, j)
-        only the k in the right support of b_j or of a term of b_i b_j can
-        give a nonzero side; those are computed and compared.  And a pair
-        with b_i b_j = 0 needs no k at all unless b_i b_m is nonzero for some
-        term b_m of some b_j b_k: both sides are zero for every k.  So each j
-        visits the i in the left support of b_j or of such a b_m."""
-        rows = self._rows
-        one = self.field.one()
-        left = [[] for _ in rows]  # m -> the i with b_i b_m nonzero
-        for i, row in enumerate(rows):
-            for m in row:
-                left[m].append(i)
-        for j, row_j in enumerate(rows):
-            visit = set(left[j])
-            for cell in row_j.values():
-                for m, _ in cell:
-                    visit.update(left[m])
-            for i in visit:
-                b_ij = dict(rows[i].get(j, ()))
-                ks = set(row_j)
-                for m in b_ij:
-                    ks.update(rows[m])
-                for k in ks:
-                    if self._sparse_mul(b_ij, {k: one}) != \
-                            self._sparse_mul({i: one}, dict(row_j.get(k, ()))):
-                        raise PpcatError("multiplication table is not associative")
-
-    def _corner_residue_dim(self, c: Subspace):
-        F = self.field
-        d = c.dim
-        if F.char != 0 and F.char <= d:
-            raise CharacteristicTooSmall("corner check needs larger characteristic")
-        if d == 1:  # a 1-dimensional unital algebra is K
-            return 1
-        rows = [self._sparse(r) for r in c.basis_rows()]
-        mats = [Matrix.from_rows(F, [c.coordinates(self._dense(self._sparse_mul(b, r)))
-                                     for b in rows]) for r in rows]
-        return d - trace_form_radical(trace_gram(F, [(m,) for m in mats])).dim
-
-
-def _constants_of_table(table, n):
-    """The (i, j) -> (k, c) mapping of a dense n x n multiplication table."""
-    if len(table) != n or any(len(r) != n for r in table):
-        raise DimensionMismatch("multiplication table shape mismatch")
-    return {(i, j): tuple(enumerate(cell)) for i, row in enumerate(table)
-            for j, cell in enumerate(row)}
+def _store_basic_radical(S: FiniteAlgebra):
+    """Store as the radical of S the span of its basis elements outside the
+    supports of its idempotents.  Only for an S built basic, its basis the
+    primitive idempotents and a basis of the radical."""
+    support = {m for e in S.idempotents for m, c in enumerate(e) if c}
+    S._radical = sparse_span(S.field, S.dim, [
+        {m: S.field.one()} for m in range(S.dim) if m not in support])
 
 
 class FinModule:
     """A right module over a FiniteAlgebra: row vectors, one action per basis
     element of the algebra, kept sparse.
 
-    `sparse_action` holds per basis element a dict from each nonzero row of
-    its matrix to that row's nonzero (column, value) pairs, rows and columns
-    in increasing order.  `action` may be given in that form, or as the
-    dense dim x dim matrices, converted once here."""
+    `action` holds per basis element a dict from each nonzero row of its
+    matrix to that row's nonzero (column, value) pairs, rows and columns in
+    increasing order; it is kept as `sparse_action`.  The constructor checks
+    no module axiom: ppcat builds its modules from the algebra's own
+    constants."""
 
-    def __init__(self, algebra: FiniteAlgebra, dim, action, check=True):
+    def __init__(self, algebra: FiniteAlgebra, dim, action):
         self.algebra = algebra
         self.dim = dim
-        action = tuple(action)
-        if len(action) != algebra.dim:
+        self.sparse_action = tuple(action)
+        if len(self.sparse_action) != algebra.dim:
             raise DimensionMismatch("one action matrix per algebra basis element")
-        if any(isinstance(m, Matrix) for m in action):
-            for m in action:
-                if m.rows != dim or m.cols != dim:
-                    raise DimensionMismatch("action matrix shape mismatch")
-            action = tuple(
-                {i: row for i, row in ((i, tuple((j, x) for j, x in enumerate(m.row(i)) if x))
-                                       for i in range(dim)) if row}
-                for m in action)
-        self.sparse_action = action
-        if check:
-            self._validate()
 
     @property
     def field(self):
         return self.algebra.field
-
-    def _validate(self):
-        """The unit acts as the identity, and b_i b_j as the action of b_i
-        followed by that of b_j, compared row by row on the sparse rows."""
-        S, action = self.algebra, self.sparse_action
-        p = self.field.char
-
-        def reduced(rows):  # {row: {column: value}} without zero entries and rows
-            return {i: r for i, r in ((i, _nonzero(row, p)) for i, row in rows.items()) if r}
-        unit = ((m, c) for m, c in enumerate(S.unit_vector()) if c)
-        if reduced(self._combination(unit)) != {i: {i: 1} for i in range(self.dim)}:
-            raise PpcatError("unit does not act as the identity")
-        for i, A in enumerate(action):
-            for j, B in enumerate(action):
-                prod = {r: _row_times(row, B, p) for r, row in A.items()}
-                if reduced(self._combination(S._rows[i].get(j, ()))) != reduced(prod):
-                    raise PpcatError("action does not respect the structure constants")
-
-    def submodule(self, vectors) -> Subspace:
-        """The smallest action-closed subspace containing the vectors, each
-        given dense or as a {column: value} dict: their span, with the images
-        of its basis rows under every basis element added until it stops
-        growing."""
-        F, d, p = self.field, self.dim, self.field.char
-        rows = []
-        for v in vectors:
-            if not isinstance(v, dict):
-                if len(v) != d:
-                    raise DimensionMismatch("vector length %d, ambient %d" % (len(v), d))
-                v = {j: x for j, x in enumerate(v) if x}
-            rows.append(v)
-        current = sparse_span(F, d, rows)
-        while True:
-            basis = current.nonzero_rows
-            images = [_row_times(r, A, p) for r in basis for A in self.sparse_action]
-            nxt = sparse_span(F, d, [dict(r) for r in basis] + images)
-            if nxt.dim == current.dim:
-                return nxt
-            current = nxt
-
-    def restrict(self, sub: Subspace) -> "FinModule":
-        """The submodule `sub` on its RREF basis: row r of the action of b_m
-        is the coordinates of (basis row r) b_m."""
-        action = _restricted_action(sub, self.sparse_action, self.field.char)
-        return FinModule(self.algebra, sub.dim, action, check=False)
 
     def quotient(self, sub: Subspace):
         """V / sub, on the canonical coset basis: the unit vectors of the
@@ -361,7 +164,7 @@ class FinModule:
                     if red:
                         out[t] = tuple(sorted((position[j], x) for j, x in red.items()))
             action.append(out)
-        return FinModule(self.algebra, q.dim, action, check=False), q
+        return FinModule(self.algebra, q.dim, action), q
 
     def _combination(self, terms):
         """The action of r = sum_m r_m b_m, given as its (m, r_m) terms,
@@ -451,20 +254,6 @@ def fin_hom(X: FinModule, Y: FinModule):
                 p_cols[j].append((k, x))
         squares.append((0, 0, p_cols, [A.get(i, ()) for i in range(X.dim)]))
     return [blocks[0] for blocks in commuting_solutions(X.field, [(X.dim, Y.dim)], squares)]
-
-
-def fin_is_indecomposable(X: FinModule) -> bool:
-    """Whether End(X)/rad is one-dimensional, rad by the iterated trace form."""
-    if X.dim == 0:
-        raise PpcatError("zero module")
-    F = X.field
-    basis = fin_hom(X, X)
-    d = len(basis)
-    if F.char != 0 and F.char <= max(d, X.dim):
-        raise CharacteristicTooSmall("characteristic too small for dim End = %d" % d)
-    if d == 1:  # End(X) = K
-        return True
-    return d - trace_form_radical(trace_gram(F, [(f,) for f in basis])).dim == 1
 
 
 def fin_are_isomorphic(X: FinModule, Y: FinModule, seed=0):
@@ -615,7 +404,7 @@ def auslander_algebra(indecomposables) -> AuslanderData:
                 labels.extend("f%d_%d_%d" % (i, k, m) for m in range(len(corner)))
             corners[i, k] = corner
             basis_morphisms.extend((i, k, g) for g in corner)
-    # mul(a, b) = "a then b" = b o a, which is zero unless b starts where a ends
+    # the product a b is "a then b" = b o a, which is zero unless b starts where a ends
     constants = {}
     coordinate_maps = {}  # (i, k) -> coordinates over the corner (i, k)
     for (i, j), A in corners.items():
@@ -643,11 +432,8 @@ def auslander_algebra(indecomposables) -> AuslanderData:
         z = [F.zero()] * len(labels)
         z[pos] = F.one()
         idempotents.append(tuple(z))
-    # the constants are composed on the summands, so the constructor's checks
-    # are left to the tests
-    algebra = FiniteAlgebra(F, labels, constants, idempotents, validate=False)
-    algebra._radical = sparse_span(F, len(labels), [
-        {m: F.one()} for m in range(len(labels)) if m not in is_idempotent])
+    algebra = FiniteAlgebra(F, labels, constants, idempotents)
+    _store_basic_radical(algebra)
     return AuslanderData(algebra, summands, T, basis_morphisms, homs)
 
 
@@ -659,7 +445,7 @@ def projective_row(data_or_algebra, k) -> FinModule:
     memo = S._projective_rows.get(k)
     if memo is None:
         memo = S._projective_rows[k] = _right_ideal_action(S, k)
-    return FinModule(S, *memo, check=False)
+    return FinModule(S, *memo)
 
 
 def _right_ideal_action(S: FiniteAlgebra, k):
@@ -805,7 +591,13 @@ def quotient_modules(functors, serre: SerreData):
     eSe is the span of the e b_m e on its RREF basis, its constants S's own
     read over that basis and its idempotents the e_i outside Sigma, in
     order.  Xe is the span of the X e_i outside Sigma, and each basis
-    element of eSe acts on it by its S-coordinates."""
+    element of eSe acts on it by its S-coordinates.
+
+    S is basic as `auslander_algebra` builds it: each basis element lies in
+    one corner e_i S e_k, and the idempotents are basis elements.  So the
+    RREF basis of eSe is the b_m of the kept corners, and eSe is basic in
+    the same way: its radical, the span of its non-idempotent basis
+    elements, is stored."""
     functors = list(functors)
     if not functors:
         return []
@@ -831,14 +623,14 @@ def quotient_modules(functors, serre: SerreData):
     for i in kept:
         coordinates = dict(_coordinates(corner, S._sparse(S.idempotents[i])))
         idempotents.append(tuple(coordinates.get(t, F.zero()) for t in range(corner.dim)))
-    eSe = FiniteAlgebra(F, [S.labels[c] for c in corner.pivots], constants, idempotents,
-                        validate=False)
+    eSe = FiniteAlgebra(F, [S.labels[c] for c in corner.pivots], constants, idempotents)
+    _store_basic_radical(eSe)
 
     def corner_module(X):
         sub = sparse_span(F, X.dim, [row for i in kept for row in X.sort_rows(i)])
         actions = ({r: tuple(row.items()) for r, row in X._combination(x.items()).items()}
                    for x in basis)
-        return FinModule(eSe, sub.dim, _restricted_action(sub, actions, p), check=False)
+        return FinModule(eSe, sub.dim, _restricted_action(sub, actions, p))
     return [corner_module(X) for X in functors]
 
 
@@ -870,114 +662,3 @@ def quotient_skeleton(functors, serre: SerreData, seed=0) -> SkeletonReport:
         else:
             classes.append([k])
     return SkeletonReport(classes, discarded, certain)
-
-
-# -- presenting a quiver algebra as a FiniteAlgebra ------------------------
-
-
-def quiver_algebra_to_finite(alg: QuiverAlgebra) -> FiniteAlgebra:
-    """Basis of irreducible paths; products are composition then reduction."""
-    verts = alg.quiver.vertices
-    paths = []
-    for v in verts:
-        paths.append(next(p for p in alg.hom_basis(v, v) if p.is_lazy()))
-    for s in verts:
-        for t in verts:
-            for p in alg.hom_basis(s, t):
-                if not p.is_lazy():
-                    paths.append(p)
-    F = alg.field
-    index = {p: i for i, p in enumerate(paths)}
-
-    def coords(elem):
-        vec = [F.zero()] * len(paths)
-        for p, c in elem.terms.items():
-            vec[index[p]] = c
-        return tuple(vec)
-
-    from .quiver import RingElement
-    table = []
-    for p in paths:
-        row = []
-        pe = RingElement.from_path(F, p)
-        for q in paths:
-            qe = RingElement.from_path(F, q)
-            if p.target == q.source:  # mul(p, q) = "p then q" = q o p
-                row.append(coords(alg.reduce(compose(qe, pe))))
-            else:
-                row.append((F.zero(),) * len(paths))
-        table.append(row)
-    idempotents = []
-    for k in range(len(verts)):
-        z = [F.zero()] * len(paths)
-        z[k] = F.one()
-        idempotents.append(tuple(z))
-    return FiniteAlgebra(F, tuple(str(p) for p in paths), table, idempotents)
-
-
-def basic_algebra_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
-    """Search for an isomorphism aligning idempotents and one-dimensional
-    corners (enough for multiplicity-free basic algebras like the fixtures).
-
-    Returns a basis-to-vector mapping as a matrix (rows = images of A's basis
-    in B's coordinates), or None.
-    """
-    from itertools import permutations
-    if A.dim != B.dim or len(A.idempotents) != len(B.idempotents):
-        return None
-    n = len(A.idempotents)
-    cornersA = {(k, l): A.corner(k, l) for k in range(n) for l in range(n)}
-    cornersB = {(k, l): B.corner(k, l) for k in range(n) for l in range(n)}
-    for perm in permutations(range(n)):
-        if any(cornersA[(k, l)].dim != cornersB[(perm[k], perm[l])].dim
-               for k in range(n) for l in range(n)):
-            continue
-        mapping = _standard_basis_mapping(A, B, perm, cornersA, cornersB)
-        if mapping is not None and _is_homomorphism(A, B, mapping):
-            return mapping
-    return None
-
-
-def _standard_basis_mapping(A, B, perm, cornersA, cornersB):
-    """Map A's k-th basis vector to the matching corner basis vector of B."""
-    F = A.field
-    n = len(A.idempotents)
-
-    def corner_of(alg, corners, vec):
-        for (k, l), c in corners.items():
-            if c.contains_vector(vec) and any(not F.is_zero(x) for x in vec):
-                return (k, l)
-        return None
-
-    usedB = {}
-    rows = []
-    for i in range(A.dim):
-        vec = A.basis_vector(i)
-        pos = corner_of(A, cornersA, vec)
-        if pos is None:
-            return None
-        k, l = pos
-        tgt = cornersB[(perm[k], perm[l])]
-        slot = usedB.setdefault((perm[k], perm[l]), 0)
-        cand = tgt.basis_rows()
-        if k == l:
-            idb = B.idempotents[perm[k]]
-            cand = [idb] + [r for r in cand if r != tuple(idb)]
-        if slot >= len(cand):
-            return None
-        usedB[(perm[k], perm[l])] = slot + 1
-        rows.append(cand[slot])
-    return Matrix.from_rows(F, rows)
-
-
-def _is_homomorphism(A, B, mapping: Matrix) -> bool:
-    F = A.field
-    if kernel(mapping).dim != 0:
-        return False
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = row_apply(A.mul(A.basis_vector(i), A.basis_vector(j)), mapping)
-            rhs = B.mul(mapping.row(i), mapping.row(j))
-            if tuple(lhs) != tuple(rhs):
-                return False
-    return True

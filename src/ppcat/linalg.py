@@ -4,7 +4,7 @@ Matrices are immutable, row-major, over one of the fields from `scalars`.
 A Subspace stores the unique reduced row-echelon basis of its row space, so
 two subspaces are equal iff their stored bases are identical.
 
-All dense elimination (rref, rank, kernel, Solver and solve, intersect,
+All dense elimination (rref_with_pivots, kernel, Solver,
 Subspace.from_vectors, the hom systems of `commuting_solutions`) runs one
 row kernel per field, chosen by the characteristic, with no scalar call
 through the field object:
@@ -161,35 +161,6 @@ class Matrix:
         return "[" + ", ".join(
             "[" + ", ".join(F.to_str(x) for x in self.row(i)) + "]" for i in range(self.rows)
         ) + "]"
-
-
-def row_apply(vec, m: Matrix):
-    """Row vector times matrix (one loop per field, as in `Matrix.mul`)."""
-    if len(vec) != m.rows:
-        raise DimensionMismatch("row vector length %d, expected %d" % (len(vec), m.rows))
-    F, n, ents = m.field, m.cols, m.entries
-    p = F.char
-    out = [0 if p else F.zero()] * n
-    for i, v in enumerate(vec):
-        if v:
-            for j, x in enumerate(ents[i * n:(i + 1) * n]):
-                if x:
-                    out[j] += v * x
-    return tuple(x % p for x in out) if p else tuple(out)
-
-
-def vstack(mats):
-    mats = list(mats)
-    F = mats[0].field
-    cols = mats[0].cols
-    ents = []
-    rows = 0
-    for m in mats:
-        if m.cols != cols:
-            raise DimensionMismatch("vstack column mismatch")
-        ents.extend(m.entries)
-        rows += m.rows
-    return Matrix(F, rows, cols, tuple(ents))
 
 
 def _offsets(sizes):
@@ -359,14 +330,6 @@ def _eliminate(a, ncols):
     return pivots, heads
 
 
-def rref(m: Matrix) -> Matrix:
-    return rref_with_pivots(m)[0]
-
-
-def rank(m: Matrix) -> int:
-    return len(rref_with_pivots(m)[1])
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F^n, stored as the canonical RREF basis of row vectors."""
@@ -471,23 +434,6 @@ class Subspace:
         return tuple(vec[p] for p in self.pivots)
 
 
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: rows [A|A] over [B|0]; rows with zero left half span the meet."""
-    _check_ambient(a, b)
-    F, n = a.field, a.ambient_dim
-    rows = [tuple(r) + tuple(r) for r in a.basis_rows()]
-    rows += [tuple(r) + (F.zero(),) * n for r in b.basis_rows()]
-    if not rows:
-        return Subspace.zero(F, n)
-    red, pivots = rref_with_pivots(Matrix.from_rows(F, rows))
-    out = []
-    for i in range(len(pivots)):
-        row = red.row(i)
-        if all(F.is_zero(x) for x in row[:n]):
-            out.append(row[n:])
-    return Subspace.from_vectors(F, n, out)
-
-
 def contains(a: Subspace, b: Subspace) -> bool:
     """Whether a contains b.  The pivots of a subspace are the leading
     columns of its vectors, so b can lie in a only if b's pivots are a's."""
@@ -571,23 +517,6 @@ def _flipped_kernel(F, n, flipped):
     return Subspace(n, Matrix(F, len(free), n, tuple(vecs)))
 
 
-def commuting_equations(field, shapes, squares):
-    """The rows of the linear system X_t P = Q X_s, one square (s, t, P, Q)
-    after another, as dense lists of ints.
-
-    The unknowns are the entries of the blocks X_k, of shape shapes[k], each
-    block row-major and the blocks in order; each square contributes one
-    equation per entry (i, j) of X_t P - Q X_s, in row-major order, except
-    the equations that are identically zero: those where row i of Q and
-    column j of P are both zero, and those whose two terms cancel.  The
-    rows are those of `sparse_commuting_equations` on the `sparse_squares`,
-    densified.
-    """
-    _, total = _offsets(r * c for r, c in shapes)
-    return _densified(total, sparse_commuting_equations(
-        field, shapes, sparse_squares(shapes, squares)))
-
-
 def sparse_squares(shapes, squares):
     """Squares (s, t, P, Q) of dense matrices in the form that
     `sparse_commuting_equations` and `commuting_solutions` take:
@@ -616,11 +545,17 @@ def _densified(total, eqs):
 
 
 def sparse_commuting_equations(field, shapes, squares):
-    """`commuting_equations` for squares (s, t, p_cols, q_rows) given by
-    their nonzero entries: p_cols[j] lists the (k, x) with P[k][j] = x != 0,
-    for every column j of P, and q_rows[i] the (l, x) with Q[i][l] = x != 0,
-    for every row i of Q.  Yields each equation as a dict from column to its
-    nonzero value, an int, in the order of the rows of `commuting_equations`.
+    """The rows of the linear system X_t P = Q X_s, one square (s, t,
+    p_cols, q_rows) after another, P and Q given by their nonzero entries:
+    p_cols[j] lists the (k, x) with P[k][j] = x != 0, for every column j of
+    P, and q_rows[i] the (l, x) with Q[i][l] = x != 0, for every row i of Q.
+
+    The unknowns are the entries of the blocks X_k, of shape shapes[k], each
+    block row-major and the blocks in order; each square contributes one
+    equation per entry (i, j) of X_t P - Q X_s, in row-major order, except
+    the equations that are identically zero: those where row i of Q and
+    column j of P are both zero, and those whose two terms cancel.  Yields
+    each equation as a dict from column to its nonzero value, an int.
 
     Over Q each square's P and Q are first scaled by the lcm of all their
     denominators, which changes no solution; the rows are then built with
@@ -773,28 +708,6 @@ def trace_gram(field, elements) -> Matrix:
     return Matrix(field, d, d, tuple(chain.from_iterable(gram)))
 
 
-def trace_form_radical(gram: Matrix) -> Subspace:
-    """The radical of an algebra in coordinates, from the Gram matrix
-    gram[i][j] = trace(b_i b_j) of a faithful action of its basis.
-
-    The kernel of the trace form, then the kernel of the form restricted to
-    that, and so on until it stops shrinking.  Callers gate the
-    characteristic: over F_p the form can vanish on semisimple elements.
-    """
-    F, d = gram.field, gram.rows
-    current = Subspace.full(F, d)
-    while True:
-        rows = current.basis_rows()
-        if not rows:
-            return current
-        b = Matrix.from_rows(F, rows)
-        form = b.mul(gram).mul(b.transpose())
-        nxt = Subspace.from_vectors(F, d, [row_apply(v, b) for v in kernel(form).basis_rows()])
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
-
-
 def image(m: Matrix) -> Subspace:
     """Column space of m, as a subspace of F^rows."""
     return Subspace.from_vectors(m.field, m.rows, [m.col(j) for j in range(m.cols)])
@@ -851,8 +764,8 @@ class Solver:
             self._g_rows.append([(k - 1 - c, x) for c, x in enumerate(row[n:]) if x])
 
     def solve(self, target):
-        """The solution of m x = target with every free variable zero (that of
-        `solve`), or None when there is none."""
+        """The solution of m x = target with every free variable zero, or
+        None when there is none."""
         if len(target) != self.rows:
             raise DimensionMismatch("target length %d, expected %d" % (len(target), self.rows))
         F, p = self.field, self.field.char
@@ -871,12 +784,6 @@ class Solver:
                 return None
             return tuple(v % p for v in x)
         return None if any(rest) else tuple(x)
-
-
-def solve(m: Matrix, target):
-    """One solution x of m x = target, or None: the one with every free
-    variable zero.  For many targets against one m, use `Solver`."""
-    return Solver(m).solve(target)
 
 
 class QuotientSpace:

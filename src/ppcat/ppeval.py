@@ -15,7 +15,7 @@ from .errors import AlgebraMismatch, NotAdmissible, SortMismatch, UncertifiedPai
 from .linalg import Matrix, Subspace, block_matrix, contains, project, row_kernel
 from .ppform import PpFormula, PpMap, PpPair, conj, exists, pad_free
 from .quiver import compose, RingElement
-from .rep import RepMorphism, Representation, cokernel_of, direct_sum, hom_space, path_matrix
+from .rep import RepMorphism, Representation, cokernel_of, direct_sum, path_matrix
 
 
 @dataclass(frozen=True)
@@ -296,17 +296,3 @@ def check_pp_map(pm: PpMap, test_modules=None) -> bool:
 def definable_membership(pairs, M: Representation) -> bool:
     """Whether every pair evaluates to zero on M."""
     return all(eval_pair(p, M) == 0 for p in pairs)
-
-
-def realized_span(fr: FreeRealization, M: Representation) -> SortedSubspace:
-    """The set of images of the distinguished tuple under all morphisms to M."""
-    homs = hom_space(fr.module, M)
-    vecs = []
-    for h in homs:
-        parts = []
-        for v, vec in zip(fr.formula.free_vars, fr.tuple_vectors):
-            parts.extend(h.blocks[v.sort].apply(vec))
-        vecs.append(tuple(parts))
-    sorts = tuple((v.sort, M.dims[v.sort]) for v in fr.formula.free_vars)
-    total = sum(d for _, d in sorts)
-    return SortedSubspace(sorts, Subspace.from_vectors(M.field, total, vecs))

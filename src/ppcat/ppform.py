@@ -108,20 +108,6 @@ class PpFormula:
         return " . ".join(parts)
 
 
-def top_formula(algebra, sorts, names=None):
-    """The formula with the given free sorts and no equations."""
-    names = names or ["x%d" % i for i in range(len(sorts))]
-    return PpFormula(algebra, [Var(n, s) for n, s in zip(names, sorts)], [], [])
-
-
-def zero_formula(algebra, sorts, names=None):
-    """The formula forcing every free variable to be zero."""
-    names = names or ["x%d" % i for i in range(len(sorts))]
-    fv = [Var(n, s) for n, s in zip(names, sorts)]
-    eqs = [Equation(v.sort, ((v.name, RingElement.lazy(algebra.field, v.sort)),)) for v in fv]
-    return PpFormula(algebra, fv, [], eqs)
-
-
 def _fresh_names(count, avoid, base="b"):
     out = []
     i = 0
@@ -313,14 +299,6 @@ def zero_map_formula(algebra, src_sorts, tgt_sorts) -> PpFormula:
          [Var(n, s) for n, s in zip(yn, tgt_sorts)]
     eqs = [Equation(s, ((y, RingElement.lazy(F, s)),)) for y, s in zip(yn, tgt_sorts)]
     return PpFormula(algebra, fv, [], eqs)
-
-
-def multiplication_map_formula(algebra, r: RingElement) -> PpFormula:
-    """rho(x, y): y = r x, between single-variable sorts."""
-    F = algebra.field
-    fv = [Var("x0", r.source), Var("y0", r.target)]
-    eq = Equation(r.target, (("y0", RingElement.lazy(F, r.target)), ("x0", r.neg())))
-    return PpFormula(algebra, fv, [], [eq])
 
 
 def _split_io(rho: PpFormula, n_inputs):

@@ -388,11 +388,6 @@ class QuiverAlgebra:
         a = self.quiver.arrow(name)
         return RingElement.from_path(self.field, Path(a.source, a.target, (a.name,)))
 
-    def path_element(self, arrow_names) -> RingElement:
-        if not arrow_names:
-            raise PpcatError("empty path; use lazy()")
-        return RingElement.from_path(self.field, make_path(self.quiver, arrow_names))
-
     def opposite(self) -> "QuiverAlgebra":
         if self._opposite is None:
             q = self.quiver.reversed()

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix, QuotientSpace, Solver, Subspace, block_matrix, commuting_solutions, image, kernel,
-    sparse_squares, trace_form_radical, trace_gram,
+    sparse_squares, trace_gram,
 )
 from .quiver import QuiverAlgebra, RingElement
 
@@ -60,9 +60,6 @@ class Representation:
 
     def total_dim(self):
         return sum(self.dims.values())
-
-    def dim_vector(self):
-        return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
 
     def is_zero(self):
         return self.total_dim() == 0
@@ -244,11 +241,6 @@ def coordinate_map(basis, source: Representation, target: Representation):
     return coordinates
 
 
-def morphism_coordinates(f: RepMorphism, basis):
-    """Coordinates of f over a basis of morphisms with the same end points."""
-    return coordinate_map(basis, f.source, f.target)(f)
-
-
 def direct_sum(reps) -> Representation:
     reps = list(reps)
     alg = reps[0].algebra
@@ -261,26 +253,6 @@ def direct_sum(reps) -> Representation:
                                  [r.dims[a.source] for r in reps])
             for a in alg.quiver.arrows}
     return Representation(alg, dims, maps, check=False)
-
-
-def summand_inclusion(reps, k) -> RepMorphism:
-    """The inclusion of reps[k] into the direct sum of reps."""
-    total = direct_sum(reps)
-    F = total.field
-    blocks = {v: block_matrix(F, {(k, 0): Matrix.identity(F, reps[k].dims[v])},
-                              [r.dims[v] for r in reps], [reps[k].dims[v]])
-              for v in total.algebra.quiver.vertices}
-    return RepMorphism(reps[k], total, blocks, check=False)
-
-
-def summand_projection(reps, k) -> RepMorphism:
-    """The projection of the direct sum of reps onto reps[k]."""
-    total = direct_sum(reps)
-    F = total.field
-    blocks = {v: block_matrix(F, {(0, k): Matrix.identity(F, reps[k].dims[v])},
-                              [reps[k].dims[v]], [r.dims[v] for r in reps])
-              for v in total.algebra.quiver.vertices}
-    return RepMorphism(total, reps[k], blocks, check=False)
 
 
 def kernel_of(f: RepMorphism):
@@ -326,14 +298,19 @@ def cokernel_of(f: RepMorphism):
 
 
 def endo_radical(M: Representation, basis=None) -> Subspace:
-    """Jacobson radical of End(M) in coordinates over the endomorphism basis.
+    """Jacobson radical of End(M) in coordinates over the endomorphism basis:
+    the kernel of the trace form (f, g) -> trace(fg), taken once.
 
-    Kernel of the trace form (f, g) -> trace(fg), iterated to stability.
-    The characteristic must exceed both dim End(M) and the total dimension
-    of M: the form is a sum of simple traces weighted by multiplicities
-    bounded by dim M, and any of those weights vanishing mod p would fold
-    semisimple directions into the kernel.  A one-dimensional End(M) is K,
-    with radical zero, and takes no trace form (the gate still applies).
+    That kernel I is a two-sided ideal, since trace(fgh) = trace(hfg).
+    Each f in I has trace(f^n) = trace(f f^(n-1)) = 0 for every n >= 1 (the
+    identity is in End(M)), and by Newton's identities, which divide only
+    by integers k <= dim M, all coefficients of the characteristic
+    polynomial of f then vanish but the leading one: f is nilpotent.  So I
+    is a nil ideal and lies in the radical, while the radical, nilpotent,
+    lies in I.  The characteristic gate asks for that and more: char F must
+    exceed dim End(M) as well as the total dimension of M.  A
+    one-dimensional End(M) is K, with radical zero, and takes no trace form
+    (the gate still applies).
     """
     if basis is None:
         basis = hom_space(M, M)
@@ -345,7 +322,7 @@ def endo_radical(M: Representation, basis=None) -> Subspace:
             % (F.char, d, M.total_dim()))
     if d == 1:
         return Subspace.zero(F, 1)
-    return trace_form_radical(trace_gram(F, [f.blocks.values() for f in basis]))
+    return kernel(trace_gram(F, [f.blocks.values() for f in basis]))
 
 
 def is_indecomposable(M: Representation) -> bool:

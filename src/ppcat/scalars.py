@@ -65,9 +65,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return a / b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -128,9 +125,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

@@ -5,13 +5,18 @@ scan and works out a token's line and column (`dsl.position`) only when a
 ParseError needs them.  This module holds the scanner it replaced, step for
 step: one Python loop over the characters, building a Token with its line and
 column for every token, the end of input included.
+
+It also holds `print_workspace`, the printer of a whole workspace that the
+parse-print round-trip tests use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ppcat.dsl import Workspace, print_item
 from ppcat.errors import ParseError
+from ppcat.scalars import QQ
 
 DIGITS = frozenset("0123456789")
 
@@ -73,3 +78,10 @@ def tokenize(text):
         raise ParseError(line, col, "a token", c)
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+def print_workspace(ws: Workspace) -> str:
+    head = ""
+    if ws.field_declared or ws.field != QQ:
+        head = "field Q;\n\n" if ws.field.kind == "Q" else "field F %d;\n\n" % ws.field.p
+    return head + "\n\n".join(print_item(d, ws.field) for d in ws.decls) + "\n"

@@ -1,8 +1,11 @@
-"""Shared algebra and module constructions used across the test suite."""
+"""Shared constructions used across the test suite: algebras, modules,
+morphisms and formulas, some of which the program itself never builds."""
 
-from ppcat.linalg import Matrix
+from ppcat.linalg import Matrix, Subspace, block_matrix
+from ppcat.ppeval import FreeRealization, SortedSubspace
+from ppcat.ppform import Equation, PpFormula, Var
 from ppcat.quiver import Arrow, Quiver, QuiverAlgebra, RingElement, make_path
-from ppcat.rep import Representation
+from ppcat.rep import RepMorphism, Representation, direct_sum, hom_space
 from ppcat.scalars import QQ, PrimeField
 
 F2 = PrimeField(2)
@@ -101,3 +104,64 @@ def dense_act_vector(V, vec):
         if not F.is_zero(c):
             out = out.add(m.scale(c))
     return out
+
+
+def path_element(alg, arrow_names) -> RingElement:
+    """The path through the named arrows, first arrow last, as a ring element."""
+    return RingElement.from_path(alg.field, make_path(alg.quiver, arrow_names))
+
+
+def summand_inclusion(reps, k) -> RepMorphism:
+    """The inclusion of reps[k] into the direct sum of reps."""
+    total = direct_sum(reps)
+    F = total.field
+    blocks = {v: block_matrix(F, {(k, 0): Matrix.identity(F, reps[k].dims[v])},
+                              [r.dims[v] for r in reps], [reps[k].dims[v]])
+              for v in total.algebra.quiver.vertices}
+    return RepMorphism(reps[k], total, blocks, check=False)
+
+
+def summand_projection(reps, k) -> RepMorphism:
+    """The projection of the direct sum of reps onto reps[k]."""
+    total = direct_sum(reps)
+    F = total.field
+    blocks = {v: block_matrix(F, {(0, k): Matrix.identity(F, reps[k].dims[v])},
+                              [reps[k].dims[v]], [r.dims[v] for r in reps])
+              for v in total.algebra.quiver.vertices}
+    return RepMorphism(total, reps[k], blocks, check=False)
+
+
+def top_formula(algebra, sorts, names=None):
+    """The formula with the given free sorts and no equations."""
+    names = names or ["x%d" % i for i in range(len(sorts))]
+    return PpFormula(algebra, [Var(n, s) for n, s in zip(names, sorts)], [], [])
+
+
+def zero_formula(algebra, sorts, names=None):
+    """The formula forcing every free variable to be zero."""
+    names = names or ["x%d" % i for i in range(len(sorts))]
+    fv = [Var(n, s) for n, s in zip(names, sorts)]
+    eqs = [Equation(v.sort, ((v.name, RingElement.lazy(algebra.field, v.sort)),)) for v in fv]
+    return PpFormula(algebra, fv, [], eqs)
+
+
+def multiplication_map_formula(algebra, r: RingElement) -> PpFormula:
+    """rho(x, y): y = r x, between single-variable sorts."""
+    F = algebra.field
+    fv = [Var("x0", r.source), Var("y0", r.target)]
+    eq = Equation(r.target, (("y0", RingElement.lazy(F, r.target)), ("x0", r.neg())))
+    return PpFormula(algebra, fv, [], [eq])
+
+
+def realized_span(fr: FreeRealization, M: Representation) -> SortedSubspace:
+    """The set of images of the distinguished tuple under all morphisms to M."""
+    homs = hom_space(fr.module, M)
+    vecs = []
+    for h in homs:
+        parts = []
+        for v, vec in zip(fr.formula.free_vars, fr.tuple_vectors):
+            parts.extend(h.blocks[v.sort].apply(vec))
+        vecs.append(tuple(parts))
+    sorts = tuple((v.sort, M.dims[v.sort]) for v in fr.formula.free_vars)
+    total = sum(d for _, d in sorts)
+    return SortedSubspace(sorts, Subspace.from_vectors(M.field, total, vecs))

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from ppcat.errors import InducedMapUndefined, UncertifiedPair
 from ppcat.linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, block_matrix, contains, intersect, kernel, project,
+    Matrix, QuotientSpace, Solver, Subspace, block_matrix, contains, kernel, project,
 )
 from ppcat.ppeval import SortedSubspace, eval_formula, pp_implies
 from ppcat.ppform import conj, exists, pad_free
 from ppcat.rep import Representation, act
+
+from linalg_oracle import intersect
 
 
 def eval_by_blocks(f, M) -> SortedSubspace:

@@ -18,10 +18,11 @@ from itertools import product as iter_product
 
 from ppcat.errors import PpcatError
 from ppcat.funcat import FinModule, SerreData, SkeletonReport, fin_hom
-from ppcat.linalg import (
-    Matrix, QuotientSpace, Solver, Subspace, kernel, row_apply, solve, sparse_span,
-)
+from ppcat.linalg import Matrix, QuotientSpace, Solver, Subspace, kernel, sparse_span
 from ppcat.rep import linear_combination
+
+from algebra_oracle import restrict, submodule
+from linalg_oracle import row_apply, solve
 
 
 def torsion_part(X: FinModule, serre: SerreData) -> Subspace:
@@ -52,7 +53,7 @@ def minimal_cotorsion(X: FinModule, serre: SerreData) -> Subspace:
     for i in range(len(X.algebra.idempotents)):
         if i not in serre.simples:
             rows.extend(X.sort_rows(i))
-    return X.submodule(rows)
+    return submodule(X, rows)
 
 
 @dataclass
@@ -74,7 +75,7 @@ def quotient_hom(X: FinModule, Y: FinModule, serre: SerreData,
         x_min = minimal_cotorsion(X, serre)
     if y_tors is None:
         y_tors = torsion_part(Y, serre)
-    dom = X.restrict(x_min)
+    dom = restrict(X, x_min)
     cod, _ = Y.quotient(y_tors)
     return QHom(X, Y, serre, x_min, y_tors, fin_hom(dom, cod))
 

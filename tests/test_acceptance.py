@@ -7,11 +7,10 @@ import random
 import time
 from contextlib import contextmanager
 
-from ppcat.dsl import load_builtin, parse, print_workspace
+from ppcat.dsl import load_builtin, parse
 from ppcat.funcat import (
-    auslander_algebra, basic_algebra_isomorphism, fin_are_isomorphic,
-    fin_is_indecomposable, pp_functor_crosscheck, projective_row,
-    quiver_algebra_to_finite, quotient_skeleton, serre_from_generator, simple_module,
+    auslander_algebra, fin_are_isomorphic, pp_functor_crosscheck, projective_row,
+    quotient_skeleton, serre_from_generator, simple_module,
 )
 from ppcat.interp import apply as interp_apply
 from ppcat.interp import validate
@@ -23,6 +22,10 @@ from ppcat.rep import Representation, are_isomorphic, dual_module, hom_space
 from ppcat.scalars import QQ, PrimeField
 from ppcat.tensor import purity_pp, purity_tensor, tensor
 
+from algebra_oracle import (
+    basic_algebra_isomorphism, fin_is_indecomposable, quiver_algebra_to_finite,
+)
+from dsl_oracle import print_workspace
 from randgen import random_algebra_pool, random_formula, random_module
 from test_dsl import random_workspace
 

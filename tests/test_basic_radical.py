@@ -4,23 +4,27 @@
   against the iterated trace form on the regular Gram matrix, by `repr`.
 - A structurally equal copy of a summand, and a copy conjugated by an
   invertible matrix at each vertex, are refused as `IsomorphicSummands`.
-- The one-dimensional base cases of `endo_radical`,
-  `FiniteAlgebra._corner_residue_dim` and `fin_is_indecomposable` against
-  the trace form, with every characteristic gate raising as before.
+- The one-dimensional base cases of `endo_radical` and of the oracles
+  `corner_residue_dim` and `fin_is_indecomposable` against the trace form,
+  with every characteristic gate raising as before.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcat.errors import CharacteristicTooSmall, IsomorphicSummands
-from ppcat.funcat import (
-    auslander_algebra, fin_hom, fin_is_indecomposable, projective_row, simple_module,
-)
-from ppcat.linalg import Matrix, solve, trace_form_radical, trace_gram
-from ppcat.rep import Representation, endo_radical, hom_space
+from ppcat.funcat import auslander_algebra, fin_hom, projective_row, simple_module
+from ppcat.linalg import Matrix, trace_gram
+from ppcat.rep import Representation, direct_sum, endo_radical, hom_space
 from ppcat.scalars import QQ, PrimeField
 
+import algebra_oracle as oracle
+from algebra_oracle import fin_is_indecomposable
+from linalg_oracle import solve, trace_form_radical
+from randgen import random_algebra_pool, random_module
 from test_auslander_corners import interval_modules
 from test_sparse_modules import SQUARE_ZERO, keps_summands, structural_copy
 
@@ -53,7 +57,7 @@ def test_stored_radical_is_the_trace_form_radical(summands):
     S = auslander_algebra(summands).algebra
     stored = S._radical
     assert stored is not None
-    assert repr(stored) == repr(trace_form_radical(S.regular_trace_gram()))
+    assert repr(stored) == repr(oracle.trace_radical(S))
     assert S.radical() is stored
 
 
@@ -144,14 +148,15 @@ def test_one_dimensional_base_cases_match_the_trace_form(summands):
     radical = outcome(S.radical)
     assert radical is gated(F, S.dim, lambda: S._radical)
     for k in range(len(S.idempotents)):
-        c = S.corner(k, k)
+        c = oracle.corner(S, k, k)
 
         def corner_residue_dim():
             rows = [S._sparse(r) for r in c.basis_rows()]
-            mats = [Matrix.from_rows(F, [c.coordinates(S._dense(S._sparse_mul(b, r)))
+            mats = [Matrix.from_rows(F, [c.coordinates(oracle.dense(S, S._sparse_mul(b, r)))
                                          for b in rows]) for r in rows]
             return c.dim - trace_radical(F, [(m,) for m in mats]).dim
-        assert outcome(lambda: S._corner_residue_dim(c)) == gated(F, c.dim, corner_residue_dim)
+        assert outcome(lambda: oracle.corner_residue_dim(S, c)) == \
+            gated(F, c.dim, corner_residue_dim)
         functors = [projective_row(data, k)]
         if radical is not CharacteristicTooSmall:
             functors.append(simple_module(data, k))
@@ -160,6 +165,41 @@ def test_one_dimensional_base_cases_match_the_trace_form(summands):
             want = gated(F, max(len(ends), X.dim),
                          lambda: len(ends) - trace_radical(F, [(f,) for f in ends]).dim == 1)
             assert outcome(lambda: fin_is_indecomposable(X)) == want
+
+
+def random_sum(rng, alg, max_dim, bound):
+    """A direct sum of up to three modules over alg, at most max_dim at each
+    vertex and of total dimension below bound (if any), their entries drawn
+    from 0, 0, 1, -1 and 2, so that many maps are nilpotent or zero."""
+    F = alg.field
+    parts = []
+    for _ in range(rng.randrange(1, 4)):
+        dims = {v: rng.randrange(max_dim + 1) for v in alg.quiver.vertices}
+        maps = {a.name: Matrix(F, dims[a.target], dims[a.source], tuple(
+            F.from_int(rng.choice((0, 0, 1, -1, 2))) for _ in range(dims[a.target] * dims[a.source])))
+            for a in alg.quiver.arrows}
+        if not bound or sum(P.total_dim() for P in parts) + sum(dims.values()) < bound:
+            parts.append(Representation(alg, dims, maps, check=False))
+    return direct_sum(parts) if parts else random_module(rng, alg, 0)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(3), F32003]), st.integers(0, 2 ** 32))
+def test_one_kernel_is_the_iterated_trace_form_radical(F, seed):
+    """`endo_radical` takes the kernel of the trace form once; iterated to
+    stability it gives the same subspace, or the same refusal.  The modules
+    are random sums over A2, the Kronecker quiver, A3 and one loop, of total
+    dimension below the characteristic of a finite field: over F_3 on the
+    loop only, the one of the four with a module of dimension 2 whose
+    radical is nonzero."""
+    rng = random.Random(seed)
+    algebras = random_algebra_pool(F)
+    alg = algebras[-1] if F.char == 3 else rng.choice(algebras)
+    M = random_sum(rng, alg, 2, F.char)
+    basis = hom_space(M, M)
+    want = gated(F, max(len(basis), M.total_dim()),
+                 lambda: trace_radical(F, [f.blocks.values() for f in basis]))
+    assert repr(outcome(lambda: endo_radical(M, basis))) == repr(want)
 
 
 def test_one_dimensional_end_keeps_the_gate_of_fin_is_indecomposable():

@@ -17,13 +17,14 @@ import pytest
 from ppcat import interp, ppeval
 from ppcat.cli import run
 from ppcat.dsl import load_builtin
-from ppcat.funcat import FiniteAlgebra, auslander_algebra, projective_row, simple_module
+from ppcat.funcat import auslander_algebra, projective_row, simple_module
 from ppcat.linalg import Matrix
 from ppcat.ppform import PpFormula
 from ppcat.quiver import Path as QPath, RingElement, make_path
 from ppcat.rep import Representation, act
 from ppcat.scalars import QQ, PrimeField
 
+import algebra_oracle as oracle
 from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1, dense_action
 from randgen import paths_up_to_len2, random_algebra_pool, random_formula, random_module
 
@@ -157,12 +158,11 @@ def test_validate_then_apply_evaluates_each_pair_once(monkeypatch):
     assert len(kernels) == len(distinct)
 
 
-def test_projective_rows_and_regular_module_built_once():
+def test_projective_rows_built_once():
     alg = a2_algebra()
     data = auslander_algebra([a2_p1(alg), a2_p2(alg), a2_s1(alg)])
     S = data.algebra
-    assert S.regular_module().sparse_action is S.regular_module().sparse_action
-    copy = FiniteAlgebra(S.field, S.labels, S.table, S.idempotents)
+    copy = oracle.algebra(S.field, S.labels, oracle.table(S), S.idempotents)
     for k in range(len(S.idempotents)):
         row = projective_row(data, k)
         assert projective_row(S, k).sparse_action is row.sparse_action

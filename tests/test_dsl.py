@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from ppcat.dsl import (
-    Workspace, emit_report, load_builtin, parse, print_workspace,
-)
+from ppcat.dsl import Workspace, emit_report, load_builtin, parse
 from ppcat.errors import ParseError, SortError, UnresolvedReference
 from ppcat.quiver import Path
 from ppcat.scalars import QQ, PrimeField
+
+from dsl_oracle import print_workspace
 
 
 def test_parse_quiver():
@@ -129,8 +129,15 @@ REPEATED = [
      "arrow u = ident; }", 9, 53, "a new vertex name (duplicate sort)", "1"),
     (INTERP_HEAD + "interp I from K to B { mode exact; sort 1 = p; sort 2 = p; "
      "arrow u = ident; arrow u = ident; }", 9, 83, "a new arrow name (duplicate arrow)", "u"),
+    ("quiver Q1 { vertices 1; }\nalgebra A { quiver Q1; nilpotent 2; nilpotent 5; }", 2, 37,
+     "'relation' or '}' (duplicate nilpotent)", "nilpotent"),
 ]
 BROKEN += [(text, line, col) for text, line, col, _, _ in REPEATED]
+
+# an interp arrow entry that names no arrow of the target quiver
+UNKNOWN_ARROW = (INTERP_HEAD + "interp I from K to B { mode exact; sort 1 = p; sort 2 = p; "
+                 "arrow u = ident; arrow zz = ident; }")
+BROKEN.append((UNKNOWN_ARROW, 9, 83))
 
 
 def test_broken_corpus_positions():
@@ -150,6 +157,12 @@ def test_repeated_entries_are_refused(text, line, col, expected, found):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == "%d:%d: expected %s, found %r" % (line, col, expected, found)
+
+
+def test_unknown_interp_arrow_is_refused():
+    with pytest.raises(ParseError) as exc:
+        parse(UNKNOWN_ARROW)
+    assert str(exc.value) == "9:83: expected an arrow of the quiver, found 'zz'"
 
 
 def test_interp_head_parses_without_a_repeat():

@@ -9,16 +9,14 @@ from ppcat.interp import (
     round_trip_check, validate,
 )
 from ppcat.linalg import Matrix
-from ppcat.ppform import (
-    Equation, PpFormula, PpPair, Var, identity_map_formula, multiplication_map_formula,
-    top_formula, zero_formula,
-)
+from ppcat.ppform import Equation, PpFormula, PpPair, Var, identity_map_formula
 from ppcat.quiver import Arrow, Quiver, QuiverAlgebra, RingElement, make_path
 from ppcat.rep import Representation, hom_space, direct_sum, are_isomorphic
 from ppcat.scalars import QQ, PrimeField
 
 from fixtures import (
-    a1tilde_algebra, d4tilde_algebra, jordan_module, loop_algebra, rep,
+    a1tilde_algebra, d4tilde_algebra, jordan_module, loop_algebra, multiplication_map_formula,
+    rep, top_formula, zero_formula,
 )
 
 KT = loop_algebra()
@@ -339,7 +337,7 @@ def test_reverse_round_trip_on_images():
     validate(J)
     for N in images:
         back = apply(I, apply(J, N))
-        assert back.dim_vector() == N.dim_vector()
+        assert back.dims == N.dims
         r = are_isomorphic(back, N)
         assert r.isomorphic and r.witness.is_invertible()
 

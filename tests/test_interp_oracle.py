@@ -12,10 +12,11 @@ import interp_oracle as oracle
 from ppcat.errors import InducedMapUndefined
 from ppcat.interp import InterpretationFunctor, apply
 from ppcat.ppeval import _eval_formula, check_pp_map
-from ppcat.ppform import Equation, PpFormula, PpMap, PpPair, Var, conj, top_formula, zero_formula
+from ppcat.ppform import Equation, PpFormula, PpMap, PpPair, Var, conj
 from ppcat.quiver import Arrow, Path, Quiver, QuiverAlgebra, RingElement, make_path
 from ppcat.scalars import QQ, PrimeField
 
+from fixtures import top_formula, zero_formula
 from randgen import paths_up_to_len2, random_algebra_pool, random_formula, random_module
 
 FIELDS = [QQ, PrimeField(5)]

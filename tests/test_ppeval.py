@@ -5,19 +5,19 @@ import pytest
 
 from ppcat.errors import NotAdmissible, UncertifiedPair
 from ppcat.linalg import Matrix
-from ppcat.ppform import (
-    Equation, PpFormula, PpMap, PpPair, Var, multiplication_map_formula, top_formula,
-    zero_formula,
-)
+from ppcat.ppform import Equation, PpFormula, PpMap, PpPair, Var
 from ppcat.ppeval import (
     certify_pair, check_pp_map, definable_membership, eval_formula, eval_pair,
-    free_realization, pp_implies, projective_rep, realized_span,
+    free_realization, pp_implies, projective_rep,
 )
 from ppcat.quiver import RingElement
 from ppcat.rep import Representation, are_isomorphic, direct_sum, hom_space
 from ppcat.scalars import QQ, PrimeField
 
-from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1, jordan_module, loop_algebra, mat
+from fixtures import (
+    a2_algebra, a2_p1, a2_p2, a2_s1, jordan_module, loop_algebra, mat,
+    multiplication_map_formula, realized_span, top_formula, zero_formula,
+)
 from test_ppform import ann_formula, div_formula
 
 F2 = PrimeField(2)

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from ppcat.errors import SortMismatch, UnknownVariable
-from ppcat.linalg import Subspace, intersect, project
+from ppcat.linalg import Subspace, project
 from ppcat.ppform import (
     Equation, PpFormula, PpPair, Var, conj, difference_map, dual, exists,
-    identity_map_formula, multiplication_map_formula, pad_free, top_formula,
-    zero_formula, zero_map_formula,
+    identity_map_formula, pad_free, zero_map_formula,
 )
 from ppcat.ppeval import eval_formula
 from ppcat.quiver import RingElement
@@ -16,7 +15,9 @@ from ppcat.scalars import QQ, PrimeField
 
 from fixtures import (
     a1tilde_algebra, a2_algebra, a2_p1, a2_s1, jordan_module, loop_algebra, mat,
+    multiplication_map_formula, top_formula, zero_formula,
 )
+from linalg_oracle import intersect
 
 F2 = PrimeField(2)
 

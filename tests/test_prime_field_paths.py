@@ -5,13 +5,13 @@ import pytest
 from ppcat.dsl import load_builtin
 from ppcat.errors import CharacteristicTooSmall
 from ppcat.funcat import (
-    auslander_algebra, fin_are_isomorphic, fin_is_indecomposable, functor_eval,
-    projective_row, quotient_skeleton, serre_from_generator, simple_module,
+    auslander_algebra, fin_are_isomorphic, functor_eval, projective_row, quotient_skeleton, serre_from_generator, simple_module,
 )
 from ppcat.ppeval import certify_pair, eval_pair
 from ppcat.rep import are_isomorphic, endo_radical, is_indecomposable
 from ppcat.scalars import PrimeField
 
+from algebra_oracle import fin_is_indecomposable
 from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1, jordan_module, loop_algebra
 
 F2 = PrimeField(2)

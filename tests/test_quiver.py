@@ -9,7 +9,7 @@ from ppcat.quiver import (
 from ppcat.scalars import QQ
 
 from fixtures import (
-    a1tilde_algebra, a2_algebra, a3_algebra, dual_numbers_algebra, loop_algebra,
+    a1tilde_algebra, a2_algebra, a3_algebra, dual_numbers_algebra, loop_algebra, path_element,
 )
 
 
@@ -68,7 +68,7 @@ def test_dual_numbers_admissible():
     alg = dual_numbers_algebra()
     assert alg.admissible
     assert len(alg.hom_basis("v", "v")) == 2  # id and t
-    assert alg.reduce(alg.path_element(("t", "t"))).is_zero()
+    assert alg.reduce(path_element(alg, ("t", "t"))).is_zero()
 
 
 def test_auslander_style_monomial_relation():
@@ -116,6 +116,6 @@ def test_opposite_round_trip():
     op = alg.opposite()
     assert op.quiver.arrow("a").source == "2"
     assert op.opposite() == alg
-    ba = alg.path_element(("a", "b"))
+    ba = path_element(alg, ("a", "b"))
     rev = reverse_element(ba, QQ)
     assert list(rev.terms)[0].arrows == ("b", "a")

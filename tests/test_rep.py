@@ -6,11 +6,14 @@ from ppcat.errors import ZeroModule
 from ppcat.linalg import Matrix, kernel, image
 from ppcat.rep import (
     RepMorphism, Representation, act, are_isomorphic, cokernel_of, direct_sum,
-    endo_radical, hom_space, is_indecomposable, kernel_of, summand_inclusion,
+    coordinate_map, endo_radical, hom_space, is_indecomposable, kernel_of,
 )
 from ppcat.scalars import QQ, PrimeField
 
-from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1, jordan_module, loop_algebra, mat
+from fixtures import (
+    a2_algebra, a2_p1, a2_p2, a2_s1, jordan_module, loop_algebra, mat, path_element,
+    summand_inclusion, summand_projection,
+)
 
 F2 = PrimeField(2)
 
@@ -18,7 +21,7 @@ F2 = PrimeField(2)
 def test_act_nilpotent_square():
     kt = loop_algebra()
     M = jordan_module(kt, [(2, 0)])
-    t2 = kt.path_element(("t", "t"))
+    t2 = path_element(kt, ("t", "t"))
     assert act(M, t2).is_zero()
 
 
@@ -98,17 +101,15 @@ def test_endo_radical_simple_cases():
 
 def test_endo_radical_span_is_projection_map():
     # the radical of End(P1 + S1) is spanned by the composite P1 ->> S1
-    from ppcat.rep import morphism_coordinates, summand_projection
     alg = a2_algebra()
     P1, S1 = a2_p1(alg), a2_s1(alg)
     M = direct_sum([P1, S1])
     basis = hom_space(M, M)
     rad = endo_radical(M, basis)
     (pi,) = hom_space(P1, S1)
-    from ppcat.rep import summand_inclusion
     block = summand_inclusion([P1, S1], 1).compose(
         pi.compose(summand_projection([P1, S1], 0)))
-    coords = morphism_coordinates(block, basis)
+    coords = coordinate_map(basis, M, M)(block)
     assert rad.contains_vector(coords)
 
 

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcat.funcat import FinModule, SerreData
-from ppcat.linalg import QuotientSpace, Subspace, kernel, row_apply, vstack
+from ppcat.linalg import QuotientSpace, Subspace, kernel
 
+from algebra_oracle import sparse_action
 from fixtures import dense_act_vector
+from linalg_oracle import row_apply, vstack
 from serre_oracle import minimal_cotorsion, torsion_part
 from test_sparse_modules import dense_quotient, dense_submodule, summand_cases
 
@@ -43,7 +45,7 @@ def oracle_torsion_part(X, serre, rad):
     t = Subspace.zero(F, X.dim)
     while True:
         q = QuotientSpace(Subspace.full(F, X.dim), t)
-        quo = FinModule(X.algebra, q.dim, dense_quotient(X, t), check=False)
+        quo = FinModule(X.algebra, q.dim, sparse_action(dense_quotient(X, t), q.dim))
         part = oracle_isotypic_socle_part(quo, rad, sorted(serre.simples))
         if part.dim == 0:
             return t

@@ -12,7 +12,9 @@ lists over Q and F_32003, with a random Sigma:
 - the classes and the discarded functors are the oracle's;
 - the report is certain wherever the oracle's is; where only it is, every
   two classes are told apart by the dimension, a sort dimension or a hom
-  dimension of their Xe.
+  dimension of their Xe;
+- eSe and the Xe pass the checks of `algebra_oracle`, and the radical
+  stored for eSe is the iterated trace form's.
 """
 
 from itertools import combinations
@@ -30,6 +32,7 @@ from ppcat.funcat import (
 from ppcat.scalars import QQ, PrimeField
 
 import serre_oracle as oracle
+from algebra_oracle import check_algebra, check_module, trace_radical
 from test_auslander_corners import fixture_summands, interval_modules
 
 F32003 = PrimeField(32003)
@@ -100,6 +103,21 @@ def test_every_sigma_of_a2_and_keps_matches_the_oracle(name):
 @given(data=st.data())
 def test_corner_route_matches_the_literal_quotient(F, data):
     check_against_oracle(*data.draw(quotient_cases(F)))
+
+
+@pytest.mark.parametrize("F", [QQ, F32003], ids=str)
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_corner_algebra_is_basic_with_its_radical_stored(F, data):
+    """eSe and the Xe, built unchecked, pass the checks of hand-built ones,
+    and the stored radical of eSe is the one the iterated trace form gives."""
+    functors, serre = data.draw(quotient_cases(F))
+    corners = quotient_modules(functors, serre)
+    eSe = corners[0].algebra
+    check_algebra(eSe)
+    for Xe in corners:
+        check_module(Xe)
+    assert repr(eSe.radical()) == repr(trace_radical(eSe))
 
 
 def test_a2_quotient_by_the_generator_p1():

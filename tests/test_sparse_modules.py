@@ -10,9 +10,9 @@
 - The census and the `funcat-quotient` requests with dense action input
   refused (a `FinModule` has no dense view), and the census with no
   Hom(T, X) action built.
-- `FinModule.quotient`, `submodule` and `restrict`, and `fin_hom`, on the
-  sparse rows against the dense formulas they replaced, and the
-  checks of `FinModule` on dense input.
+- `FinModule.quotient` and `fin_hom`, and the oracle's `submodule` and
+  `restrict`, on the sparse rows against the dense formulas, and the checks
+  of `algebra_oracle.module` on dense input.
 - The shortcuts of `project` onto a prefix and of `contains` against the
   plain elimination and membership tests.
 """
@@ -28,16 +28,18 @@ from ppcat.cli import run
 from ppcat.errors import DimensionMismatch, NotASubspace, PpcatError
 from ppcat.funcat import (
     AuslanderData, FiniteAlgebra, FinModule, auslander_algebra, fin_hom, functor_eval,
-    projective_row, quiver_algebra_to_finite, simple_module,
+    projective_row, simple_module,
 )
 from ppcat.linalg import (
-    Matrix, QuotientSpace, Subspace, commuting_solutions, contains, project, row_apply,
-    sparse_span, sparse_squares,
+    Matrix, QuotientSpace, Subspace, commuting_solutions, contains, project, sparse_span,
+    sparse_squares,
 )
 from ppcat.rep import Representation
 from ppcat.scalars import QQ, PrimeField
 
+import algebra_oracle as oracle
 from fixtures import a3_algebra, dense_action, dual_numbers_algebra, rep
+from linalg_oracle import row_apply
 from test_auslander_corners import densify, interval_modules, interval_subsets, keps_inputs
 from test_reports_golden import GOLDEN
 from test_sparse_census import oracle_hom_mats, oracle_relations
@@ -199,7 +201,7 @@ def summand_cases(draw, smallest=3, largest=5):
         row = projective_row(data, draw(st.integers(0, n - 1)))
         vecs = draw(st.lists(st.lists(coeff, min_size=row.dim, max_size=row.dim),
                              min_size=1, max_size=2))
-        quo = row.quotient(row.submodule(vecs))[0]
+        quo = row.quotient(oracle.submodule(row, vecs))[0]
         functors.append(quo)
     for V in (row, quo):
         entries = draw(st.lists(st.integers(-2, 2), min_size=V.dim ** 2, max_size=V.dim ** 2))
@@ -220,7 +222,7 @@ def conjugated(V, entries):
         inverse = inverse.add(power)
     P = one.add(N)
     assert P.mul(inverse) == one
-    return FinModule(V.algebra, n, [P.mul(A).mul(inverse) for A in dense_action(V)])
+    return oracle.module(V.algebra, n, [P.mul(A).mul(inverse) for A in dense_action(V)])
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -271,11 +273,11 @@ def refuse_dense_actions(monkeypatch):
     dense action can only be handed to its constructor: make that fail."""
     init = FinModule.__init__
 
-    def sparse_only(self, algebra, dim, action, check=True):
+    def sparse_only(self, algebra, dim, action):
         action = tuple(action)
         if any(isinstance(m, Matrix) for m in action):
             raise AssertionError("a dense action was built")
-        init(self, algebra, dim, action, check)
+        init(self, algebra, dim, action)
     monkeypatch.setattr(FinModule, "__init__", sparse_only)
 
 
@@ -317,7 +319,7 @@ def dense_quotient(V, sub):
 
 
 def dense_submodule(V, vectors):
-    """The closure as `FinModule.submodule` took it on the dense matrices."""
+    """The closure `algebra_oracle.submodule` takes, on the dense matrices."""
     F = V.field
     current = Subspace.from_vectors(F, V.dim, vectors)
     while True:
@@ -349,19 +351,19 @@ def dense_fin_hom(X, Y):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.sampled_from([QQ, F32003]), st.sampled_from(["a3", "keps"]), st.data())
 def test_quotients_and_actions_match_the_dense_route(F, kind, data):
-    S = quiver_algebra_to_finite(a3_algebra(F)) if kind == "a3" else \
+    S = oracle.quiver_algebra_to_finite(a3_algebra(F)) if kind == "a3" else \
         auslander_algebra(keps_summands(F, SQUARE_ZERO[2])).algebra
     coeff = st.integers(-3, 3).map(F.from_int)
-    reg = S.regular_module()
+    reg = oracle.regular_module(S)
     V = projective_row(S, data.draw(st.integers(0, len(S.idempotents) - 1))) \
         if data.draw(st.booleans()) else reg
     if data.draw(st.booleans()):
         V = conjugated(V, data.draw(st.lists(st.integers(-2, 2), min_size=V.dim ** 2,
                                              max_size=V.dim ** 2)))
     vecs = data.draw(st.lists(st.lists(coeff, min_size=V.dim, max_size=V.dim), max_size=3))
-    closure = V.submodule(vecs)
+    closure = oracle.submodule(V, vecs)
     assert repr(closure) == repr(dense_submodule(V, vecs))
-    W = V.restrict(closure)
+    W = oracle.restrict(V, closure)
     assert repr(dense_action(W)) == repr(dense_restrict(V, closure))
     # the formula is defined for any subspace, and one that is not a
     # submodule rarely lies along the coordinates
@@ -377,26 +379,26 @@ def test_dense_input_is_checked():
     S = auslander_algebra(keps_summands(QQ, SQUARE_ZERO[2])).algebra
     row = projective_row(S, 0)
     mats = list(dense_action(row))
-    assert repr(dense_action(FinModule(S, row.dim, mats))) == repr(tuple(mats))
+    assert repr(dense_action(oracle.module(S, row.dim, mats))) == repr(tuple(mats))
     with pytest.raises(DimensionMismatch):
-        FinModule(S, row.dim, mats[1:])
+        oracle.module(S, row.dim, mats[1:])
     with pytest.raises(DimensionMismatch):
-        FinModule(S, row.dim + 1, mats)
+        oracle.module(S, row.dim + 1, mats)
     e0, r0 = S.labels.index("e0"), S.labels.index("r0_0")
     unit = [Matrix.zero(QQ, row.dim, row.dim) if m == e0 else A for m, A in enumerate(mats)]
     with pytest.raises(PpcatError, match="unit"):
-        FinModule(S, row.dim, unit)
+        oracle.module(S, row.dim, unit)
     # f0_1 f1_0 is a nonzero multiple of r0_0, so doubling the action of r0_0
     # breaks that product
     bad = [A.scale(QQ.from_int(2)) if m == r0 else A for m, A in enumerate(mats)]
     with pytest.raises(PpcatError, match="structure constants"):
-        FinModule(S, row.dim, bad)
+        oracle.module(S, row.dim, bad)
 
 
 def test_projective_row_checks_closure_under_the_action():
-    # unvalidated constants with e0 x1 = x1 but x1 x1 = x2 outside e0 S
+    # unchecked constants with e0 x1 = x1 but x1 x1 = x2 outside e0 S
     S = FiniteAlgebra(QQ, ["x0", "x1", "x2"], {(0, 0): [(0, 1)], (0, 1): [(1, 1)],
-                                               (1, 1): [(2, 1)]}, [(1, 0, 0)], validate=False)
+                                               (1, 1): [(2, 1)]}, [(1, 0, 0)])
     with pytest.raises(NotASubspace):
         projective_row(S, 0)
 

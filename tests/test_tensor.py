@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from ppcat.errors import NotMono
 from ppcat.linalg import Matrix, image
-from ppcat.ppform import top_formula
 from ppcat.ppeval import projective_rep
-from ppcat.rep import (
-    RepMorphism, Representation, act, dual_module, hom_space, summand_inclusion,
-)
+from ppcat.rep import RepMorphism, Representation, act, dual_module, hom_space
 from ppcat.scalars import QQ, PrimeField
 from ppcat.tensor import purity_pp, purity_tensor, tensor
 
 from fixtures import (
     a2_algebra, a3_algebra, a2_p1, a2_p2, a2_s1, dual_numbers_algebra, jordan_module,
-    loop_algebra, mat, rep,
+    loop_algebra, mat, path_element, rep, summand_inclusion, top_formula,
 )
 from test_ppform import ann_formula, div_formula
 
@@ -79,7 +76,7 @@ def test_tensor_right_exactness_shadow():
     # hand here
     alg = a3_algebra()
     L = a3_right_L(alg)
-    ba = alg.path_element(("a", "b"))
+    ba = path_element(alg, ("a", "b"))
     for lo, hi in ((1, 3), (2, 3), (1, 2)):
         M = a3_interval(alg, lo, hi)
         assert tensor(L, M).dim == M.dims["3"] - image(act(M, ba)).dim
