@@ -9,12 +9,16 @@ Subspace.from_vectors, the hom systems of `commuting_solutions`) runs one
 row kernel per field, chosen by the characteristic, with no scalar call
 through the field object:
 
-- over Q, fraction-free Gauss-Jordan on primitive integer rows, in the
+- over Q, fraction-free elimination on primitive integer rows, in the
   spirit of Bareiss (1968), by one integer core (`_eliminate`) that
-  `rref_with_pivots` and `kernel` share: `rref_with_pivots` makes each
-  entry of the RREF a `Fraction` once, and `kernel` builds each entry of
-  its basis once, straight from the integer rows.  The hom systems are
-  built as int rows, so no `Fraction` is made before their basis;
+  `rref_with_pivots` and `kernel` share.  A forward pass clears each
+  pivot column below the pivot only, on the columns to its right; a
+  back-substitution, from the last pivot row up, then carries only each
+  row's head and its free-column entries, which for a hom system are the
+  few kernel columns.  `rref_with_pivots` makes each entry of the RREF a
+  `Fraction` once, and `kernel` builds each entry of its basis once,
+  straight from the integer rows.  The hom systems are built as int rows,
+  so no `Fraction` is made before their basis;
 - over F_p, Gauss-Jordan on rows of plain ints reduced mod p, in
   `rref_with_pivots`.
 
@@ -236,8 +240,9 @@ def _gauss_jordan_q(a, ncols):
     Fractions); return the pivot columns.
 
     The rows are made primitive integer vectors (`_primitive`) and reduced
-    by the integer core (`_eliminate`); each entry of the RREF is then built
-    once, as a `Fraction` of a row entry over the row's head.
+    by the integer core (`_eliminate`), forward elimination and then
+    back-substitution on the free columns; each entry of the RREF is then
+    built once, as a `Fraction` of a row entry over the row's head.
     """
     for i, row in enumerate(a):
         a[i] = _primitive(row)
@@ -270,63 +275,102 @@ def _primitive(row):
 
 
 def _eliminate(a, ncols):
-    """Fraction-free Gauss-Jordan on the primitive integer rows `a`, in
-    place; returns the pivot columns and, for each pivot row, its head.
+    """Reduce the primitive integer rows `a`, fraction-free and in place;
+    returns the pivot columns and, for each pivot row, its head.
 
-    A row with entry f in the pivot column becomes
-    (piv/g)*row - (f/g)*pivot_row, with g = gcd(piv, f), and is then divided
-    by its content.  A row is thus always the primitive multiple of a
-    canonical rational vector, so entries stay as small as the data allows.
-    Once a column is a pivot column it is dropped from every row, and the
-    pivot row keeps its entry there, positive, in `heads`: later scalings
-    then touch only the columns still in play.  So in the end row i < rank
-    holds the entries of the RREF's row i in its free columns, in order,
-    times heads[i]; the other rows are zero.
+    A forward pass takes the columns in order.  Column c's pivot row is,
+    among the rows below the earlier pivot rows, the one with the smallest
+    nonzero entry piv in column c (made positive), the sparsest among
+    equals.  Each other row below, with entry f there, becomes
+    (piv/g)*row - (f/g)*pivot_row, g = gcd(piv, f), on the columns right of
+    c only, and is then divided by its content; the rows above are not
+    touched.  A row is thus always the primitive multiple of a rational
+    vector, so entries stay as small as the data allows.
+
+    A back-substitution then runs from the last pivot row up.  A row keeps
+    its head (its pivot entry) and its entries in the free columns only.
+    Its entry x in the pivot column of a later row j, which is already
+    reduced to a head h_j and free entries, is cleared by scaling the row
+    by m, the lcm of the h_j it needs, and subtracting x*(m/h_j) times row
+    j; the row is then divided by its content.  For a hom system the free
+    columns are the few kernel columns, so this pass is cheap.
+
+    So in the end row i < rank holds the entries of the RREF's row i in its
+    free columns, in order, times heads[i]; the other rows are zero.
     """
-    nrows = len(a)
-    pivots = []
-    heads = []
+    pivots, heads, prows = [], [], []
+    rest = list(filter(any, a))  # the nonzero rows below the pivot rows
     for c in range(ncols):
-        r = len(pivots)
-        pos = c - r  # where column c sits once the r pivot columns are dropped
-        candidates = [i for i in range(r, nrows) if a[i][pos]]
+        candidates = [row for row in rest if row[c]]
         if not candidates:
             continue
-        # the smallest pivot, made positive, spares most rows the scaling
-        i = min(candidates, key=lambda i: abs(a[i][pos]))
-        prow = a[i]
-        a[i] = a[r]
-        if prow[pos] < 0:
-            prow = [-x for x in prow]
-        a[r] = prow
-        piv = prow.pop(pos)
-        nz = [j for j in range(pos, len(prow)) if prow[j]]
-        for i, row in enumerate(a):
-            if i == r:
-                continue
-            f = row.pop(pos)
-            if not f:
-                continue
-            g = gcd(piv, f)
-            f //= g
-            if g == piv:
-                for j in nz:
-                    row[j] -= f * prow[j]
-            else:
-                s = piv // g
-                row = [s * x - f * y for x, y in zip(row, prow)]
-                if i < r:
-                    heads[i] *= s
-            g = gcd(heads[i], *row) if i < r else gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-                if i < r:
-                    heads[i] //= g
-            a[i] = row
+        # the smallest pivot spares most rows the scaling, and the sparsest
+        # row with it the most subtractions
+        prow = min(candidates, key=lambda row: abs(row[c]) * ncols - row.count(0)) \
+            if len(candidates) > 1 else candidates[0]
+        if prow[c] < 0:
+            prow[c:] = [-x for x in prow[c:]]
+        piv = prow[c]
         pivots.append(c)
         heads.append(piv)
-        if r + 1 == nrows:
+        prows.append(prow)
+        zeroed = False
+        if len(candidates) > 1:
+            tail = prow[c + 1:]
+            nz = [j for j, y in enumerate(tail, c + 1) if y]
+            for row in candidates:
+                if row is prow:
+                    continue
+                f = row[c]
+                g = gcd(piv, f)
+                f //= g
+                if g == piv:
+                    for j in nz:
+                        row[j] -= f * prow[j]
+                else:
+                    s = piv // g
+                    row[c + 1:] = [s * x - f * y for x, y in zip(row[c + 1:], tail)]
+                row[c] = 0
+                g = gcd(*row[c + 1:])
+                if g > 1:
+                    row[c + 1:] = [x // g for x in row[c + 1:]]
+                elif not g:
+                    zeroed = True
+        rest = [row for row in rest if row is not prow and (not zeroed or any(row))]
+        if not rest:
             break
+    # back-substitution, from the last pivot row up: each row drops its
+    # pivot columns, and the rows below it, already reduced, clear the
+    # entries it had in theirs
+    rank = len(pivots)
+    nfree = ncols - rank
+    for i in reversed(range(rank)):
+        row, c, h = prows[i], pivots[i], heads[i]
+        later = []
+        for j in range(rank - 1, i, -1):
+            x = row.pop(pivots[j])
+            if x:
+                later.append((j, x))
+        row[:c + 1] = [0] * (c - i)  # the free columns left of c, and the pivots up to c
+        if later:
+            m = lcm(*[heads[j] for j, _ in later])
+            if m > 1:
+                h *= m
+                row = [m * x for x in row]
+            for j, x in later:
+                f = x * (m // heads[j])
+                k = pivots[j] - j  # the free columns left of pivot j
+                for t, y in enumerate(a[j][k:], k):
+                    if y:
+                        row[t] -= f * y
+            g = gcd(h, *row)
+            if g > 1:
+                h //= g
+                row = [x // g for x in row]
+            heads[i] = h
+        a[i] = row
+    for i in range(rank, len(a)):
+        a[i] = [0] * nfree
     return pivots, heads
 
 
@@ -471,8 +515,9 @@ def kernel(m: Matrix) -> Subspace:
     original column order that vector has entries only to the right of c.
     Taken by increasing c, these vectors are the canonical RREF basis of the
     kernel.  Over Q that RREF is never built as `Fraction`s: the integer
-    core leaves each of its rows as ints over a head, and each entry of the
-    basis is built once from them.
+    core's back-substitution leaves each of its rows as its free-column
+    entries, ints over a head, and each entry of the basis is built once
+    from them.
     """
     return row_kernel(m.field, m.cols, [m.row(i) for i in range(m.rows)])
 
@@ -683,28 +728,35 @@ def trace_gram(field, elements) -> Matrix:
 
     trace(A B) is summed as a_ij b_ji over the nonzero a_ij, without
     forming A B, and only once per unordered pair (the form is symmetric).
+    The sums run on ints: over Q each element is first scaled by h, the lcm
+    of its denominators, and each entry is then made once, as the
+    `Fraction` of the sum over h_a * h_b.
     """
     p = field.char
-    zero = 0 if p else field.zero()
-    nonzero, transposed = [], []
+    nonzero, transposed, scales = [], [], []
     for blocks in elements:
+        blocks = tuple(blocks)
+        h = 1 if p else lcm(*[x.denominator for m in blocks for x in m.entries])
         flat, flat_t = [], []
         for m in blocks:
-            flat.extend(m.entries)
-            flat_t.extend(m.transpose().entries)
+            ents = m.entries if p else [x.numerator * (h // x.denominator) for x in m.entries]
+            flat.extend(ents)
+            for j in range(m.cols):
+                flat_t.extend(ents[j::m.cols])
         nonzero.append([(i, x) for i, x in enumerate(flat) if x])
         transposed.append(flat_t)
+        scales.append(h)
     d = len(nonzero)
-    gram = [[zero] * d for _ in range(d)]
+    gram = [[None] * d for _ in range(d)]
     for a in range(d):
         for b in range(a, d):
             t = transposed[b]
-            s = zero
+            s = 0
             for i, x in nonzero[a]:
                 y = t[i]
                 if y:
                     s += x * y
-            gram[a][b] = gram[b][a] = s % p if p else s
+            gram[a][b] = gram[b][a] = s % p if p else Fraction(s, scales[a] * scales[b])
     return Matrix(field, d, d, tuple(chain.from_iterable(gram)))
 
 

@@ -4,13 +4,15 @@
 scaled by the lcm of its denominators and each row divided by its gcd, so it
 is primitive), and
 `commuting_solutions` reads the kernel basis straight off the integer
-elimination.  The oracle below is the route they replace: rows of field
-elements made by the field's own `add` and `sub`, densified, and the
-kernel read off the `Fraction` RREF of `rref_with_pivots`, each entry
-negated by the field.  The two must give `repr`-equal bases, and the int
-rows must span what the field rows span.
+elimination.  The oracle below is the route they replace, on an
+independent elimination: rows of field elements made by the field's own
+`add` and `sub`, densified, and the kernel read off the RREF of the
+field-generic Gauss-Jordan `oracle_rref`, each entry negated by the field.
+The two must give `repr`-equal bases, and the int rows must span what the
+field rows span.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppcat.linalg import (
-    Matrix, Subspace, commuting_solutions, rref_with_pivots, sparse_commuting_equations,
-    sparse_span, sparse_squares,
+    Matrix, Subspace, commuting_solutions, sparse_commuting_equations, sparse_span,
+    sparse_squares,
 )
 from ppcat.scalars import QQ, PrimeField
+from test_rref_kernel import oracle_rref
 
 FEW = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -68,8 +71,7 @@ def fraction_route(F, shapes, squares):
     offs, n = offsets(shapes)
     rows = field_rows(F, shapes, squares)
     if rows:
-        flipped = Matrix(F, len(rows), n, tuple(x for r in rows for x in r[::-1]))
-        red, pivots = rref_with_pivots(flipped)
+        red, pivots = oracle_rref(F, [r[::-1] for r in rows], n)
         vecs = []
         for fcol in reversed(range(n)):
             if fcol in pivots:
@@ -77,8 +79,8 @@ def fraction_route(F, shapes, squares):
             v = [F.zero()] * n
             v[n - 1 - fcol] = F.one()
             for i, pc in enumerate(pivots):
-                if pc < fcol and not F.is_zero(red.at(i, fcol)):
-                    v[n - 1 - pc] = F.neg(red.at(i, fcol))
+                if pc < fcol and not F.is_zero(red[i][fcol]):
+                    v[n - 1 - pc] = F.neg(red[i][fcol])
             vecs.append(tuple(v))
     else:
         vecs = Subspace.full(F, n).basis_rows()
@@ -178,3 +180,85 @@ def test_integer_route_corner_cases(F):
     ]
     for shapes, squares in cases:
         check_against_fraction_route(F, shapes, squares)
+
+
+# -- hom systems of conjugated modules over Q --------------------------------
+
+
+def block_diagonal(rng, n):
+    """An n x n rational matrix in blocks: Jordan blocks with eigenvalues 0,
+    1 or -1 and companion matrices of x^2 + 1, so that two draws often
+    share a summand."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    while at < n:
+        if n - at >= 2 and rng.random() < 0.3:
+            rows[at][at + 1], rows[at + 1][at] = Fraction(-1), Fraction(1)
+            at += 2
+            continue
+        size, eigen = rng.randint(1, n - at), rng.choice([0, 1, -1])
+        for k in range(at, at + size):
+            rows[k][k] = Fraction(eigen)
+            if k + 1 < at + size:
+                rows[k][k + 1] = Fraction(1)
+        at += size
+    return rows
+
+
+def elementary_changes(rng, n, count):
+    """`count` random elementary operations (i, j, c): add c times row j to
+    row i, for i != j."""
+    return [(*rng.sample(range(n), 2), rng.choice([Fraction(1), Fraction(-2), Fraction(1, 2),
+                                                   Fraction(3), Fraction(-1, 3)]))
+            for _ in range(count)] if n > 1 else []
+
+
+def act(rows, left, right):
+    """E_left rows E_right^-1, for products of elementary operations: each
+    left one adds rows, each right one subtracts the matching columns."""
+    rows = [list(r) for r in rows]
+    for i, j, c in left:
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    for i, j, c in right:
+        for r in rows:
+            r[j] -= c * r[i]
+    return rows
+
+
+def two_block_diagonals(rng, most):
+    """Two `block_diagonal` matrices of size 1 to `most`, the same one half
+    the time, so that Hom is often nonzero."""
+    first = block_diagonal(rng, rng.randint(1, most))
+    return first, first if rng.random() < 0.5 else block_diagonal(rng, rng.randint(1, most))
+
+
+def loop_module(rng, blocks):
+    """T of the K[T]-module of the block-diagonal `blocks`, conjugated."""
+    change = elementary_changes(rng, len(blocks), 2 * len(blocks))
+    return Matrix.from_rows(QQ, act(blocks, change, change))
+
+
+def kronecker_module(rng, blocks):
+    """(a, b) of the Kronecker module (I, B), B the block-diagonal `blocks`,
+    changed by invertible matrices at both vertices."""
+    n = len(blocks)
+    source, target = elementary_changes(rng, n, 2 * n), elementary_changes(rng, n, 2 * n)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return tuple(Matrix.from_rows(QQ, act(m, target, source)) for m in (identity, blocks))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_conjugated_loop_module_homs_match_the_oracle(seed):
+    rng = random.Random(seed)
+    bm, bn = two_block_diagonals(rng, 5)
+    tm, tn = loop_module(rng, bm), loop_module(rng, bn)
+    check_against_fraction_route(QQ, [(len(bn), len(bm))], [(0, 0, tm, tn)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_conjugated_kronecker_module_homs_match_the_oracle(seed):
+    rng = random.Random(seed)
+    blocks_m, blocks_n = two_block_diagonals(rng, 4)
+    (am, bm), (an, bn) = kronecker_module(rng, blocks_m), kronecker_module(rng, blocks_n)
+    shape = (len(blocks_n), len(blocks_m))
+    check_against_fraction_route(QQ, [shape, shape], [(0, 1, am, an), (0, 1, bm, bn)])

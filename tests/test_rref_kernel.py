@@ -6,8 +6,10 @@ exact `Fraction` arithmetic.  The kernels must return the same pivots and
 identical entries, and over Q every entry must be a `Fraction`.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +100,40 @@ def low_rank_matrices(draw):
     return F, rows, ncols
 
 
+def rational_entry(rng):
+    """Zero, a small fraction, or a numerator up to 10^9 over up to 10^3."""
+    kind = rng.random()
+    if kind < 0.35:
+        return Fraction(0)
+    if kind < 0.7:
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    return Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 3))
+
+
+def larger_rational_matrix(seed):
+    """A Q matrix of 8-14 rows and 8-16 columns, some rows and columns zero,
+    so that the back-substitution runs over many pivot rows."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(8, 14), rng.randint(8, 16)
+    zero_rows = set(rng.sample(range(nrows), rng.randint(0, 3)))
+    zero_cols = set(rng.sample(range(ncols), rng.randint(0, 4)))
+    rows = [[Fraction(0) if i in zero_rows or j in zero_cols else rational_entry(rng)
+             for j in range(ncols)] for i in range(nrows)]
+    return QQ, rows, ncols
+
+
+def larger_rational_product(seed, k):
+    """An L*R product over Q of rank at most k, L of 8-14 rows and R of
+    8-16 columns, with large entries."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(max(8, k), 14), rng.randint(max(8, k), 16)
+    left = [[rational_entry(rng) for _ in range(k)] for _ in range(nrows)]
+    right = [[rational_entry(rng) for _ in range(ncols)] for _ in range(k)]
+    rows = [[sum((c * rk[j] for c, rk in zip(li, right)), Fraction(0)) for j in range(ncols)]
+            for li in left]
+    return QQ, rows, ncols
+
+
 @SETTINGS
 @given(matrices())
 def test_kernel_matches_oracle(case):
@@ -108,6 +144,18 @@ def test_kernel_matches_oracle(case):
 @given(low_rank_matrices())
 def test_kernel_matches_oracle_on_rank_deficient_products(case):
     check_against_oracle(*case)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_matches_oracle_on_larger_rational_matrices(seed):
+    check_against_oracle(*larger_rational_matrix(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_matches_oracle_on_larger_rational_products(seed):
+    case = larger_rational_product(seed, 1 + seed % 10)
+    check_against_oracle(*case)
+    check_kernel(*case)
 
 
 @FEW
