@@ -8,7 +8,7 @@ from .rep import (
     dual_module, endo_radical, hom_space, is_indecomposable, kernel_of,
 )
 from .ppform import (
-    Equation, PpFormula, PpMap, PpPair, Var, conj, difference_map, dual, exists,
+    Equation, PpFormula, PpMap, PpPair, Var, conj, dual, exists,
 )
 from .ppeval import (
     certify_pair, check_pp_map, definable_membership, eval_formula, eval_pair,

@@ -1,8 +1,10 @@
 """Desk-scale functor categories for finite representation type.
 
 The endomorphism algebra of a complete direct sum of indecomposables is built
-as a FiniteAlgebra (basis, structure constants, primitive idempotents); its
-right modules stand in for finitely presented functors, evaluated through
+as a FiniteAlgebra with one sort per summand: each basis element lies in one
+corner e_i S e_k, and the primitive idempotents are basis elements, so e_k S,
+eSe and the radical are spanned by sets of basis elements.  Its right
+modules stand in for finitely presented functors, evaluated through
 V (x)_S Hom(T, X).  Serre subcategories of this finite-length setting are
 recorded by their sets of simples Sigma, and the quotient by one is reached
 as mod-eSe, e the sum of the idempotents outside Sigma: a functor X goes to
@@ -14,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
-    AlgebraMismatch, CharacteristicTooSmall, DimensionMismatch, IsomorphicSummands, NotASubspace,
-    NotSplitEndo, PpcatError,
+    AlgebraMismatch, DimensionMismatch, IsomorphicSummands, NotASubspace, NotSplitEndo, PpcatError,
 )
 from .linalg import (
     QuotientSpace, Subspace, block_matrix, commuting_solutions, kernel, sparse_commuting_equations,
@@ -29,24 +30,30 @@ from .rep import (
 
 
 class FiniteAlgebra:
-    """A finite-dimensional algebra by structure constants.
+    """A finite-dimensional algebra by structure constants, its primitive
+    idempotents among its basis elements.
 
     Products read left to right: "a b" is "a then b" (for endomorphism
     algebras this is composition b o a), so right modules over an Auslander
     algebra decompose by which summand a morphism starts from.
 
-    `constants` maps (i, j) to the (k, c) pairs of b_i b_j = sum c b_k; a
-    pair missing from it multiplies to zero.  Only the nonzero constants are
-    kept.  The constructor checks no algebra axiom: the algebras ppcat
-    builds (`auslander_algebra`, the corners of `quotient_modules`) are
-    basic by construction, with their primitive idempotents among their
-    basis elements, and store their radical.
+    `constants` maps (i, j) to the (k, c) pairs of b_i b_j = sum c b_k, in
+    increasing k; a pair missing from it multiplies to zero.  Only the
+    nonzero constants are kept.  `idempotents` holds the basis indices of
+    the primitive idempotents e_k.
+
+    The constructor checks no algebra axiom.  The algebras ppcat builds
+    (`auslander_algebra`, the corners of `quotient_modules`) are basic by
+    construction: each basis element lies in one corner e_i S e_j, and the
+    basis elements other than the e_k span the radical.  So e_k S, eSe and
+    the radical are spanned by sets of basis elements, read off the
+    constants.
     """
 
     def __init__(self, field, labels, constants, idempotents):
         self.field = field
         self.labels = tuple(labels)
-        self.idempotents = tuple(tuple(e) for e in idempotents)
+        self.idempotents = tuple(idempotents)
         n = len(self.labels)
         # row i: j -> the nonzero (k, c) of b_i b_j, as field values
         add, zero, is_zero = field.add, field.zero(), field.is_zero
@@ -58,7 +65,6 @@ class FiniteAlgebra:
             if cell:
                 rows[i][j] = cell
         self._rows = tuple(rows)
-        self._radical = None  # stored by the construction, see radical()
         # memo of projective_row (k -> e_k S), kept as the dim and sparse
         # action so that it holds no module pointing back at self
         self._projective_rows = {}
@@ -67,60 +73,12 @@ class FiniteAlgebra:
     def dim(self):
         return len(self.labels)
 
-    def _sparse(self, vec):
-        """vec as {index: nonzero coordinate}, the coordinates as field values."""
-        add, zero = self.field.add, self.field.zero()
-        return {k: c for k, c in ((k, add(zero, c)) for k, c in enumerate(vec) if c) if c}
-
-    def _sparse_mul(self, a, b):
-        """a b for a and b given as {index: nonzero coordinate}, in that form;
-        only the products b_i b_j with nonzero constants are visited."""
-        p = self.field.char
-        acc = {}
-        for i, ca in a.items():
-            row = self._rows[i]
-            if row:
-                for j, cb in b.items():
-                    cell = row.get(j)
-                    if cell:
-                        c = ca * cb
-                        for k, ck in cell:
-                            acc[k] = acc.get(k, 0) + c * ck
-        if p:
-            return {k: v % p for k, v in acc.items() if v % p}
-        return {k: v for k, v in acc.items() if v}
-
     def radical(self) -> Subspace:
-        """The radical as a subspace of the coordinate space, as the
-        algebra's construction stored it (`_store_basic_radical`).
-        Characteristic at most dim is refused: there the trace form, which
-        checks a stored radical, need not give the radical."""
-        F = self.field
-        d = self.dim
-        if F.char != 0 and F.char <= d:
-            raise CharacteristicTooSmall(
-                "characteristic %d too small for dim %d" % (F.char, d))
-        if self._radical is None:
-            raise PpcatError("no radical stored for this algebra")
-        return self._radical
-
-    def _corner(self, e, f):
-        """e A f, for e and f given as {index: nonzero coordinate}: the span
-        of the e b_i f, formed only for the b_i with b_a b_i nonzero for some
-        a in the support of e (e kills every other b_i)."""
-        one = self.field.one()
+        """The radical as a subspace of the coordinate space: the span of
+        the basis elements that are not idempotents."""
+        one, idempotents = self.field.one(), set(self.idempotents)
         return sparse_span(self.field, self.dim, [
-            self._sparse_mul(self._sparse_mul(e, {i: one}), f)
-            for i in {i for a in e for i in self._rows[a]}])
-
-
-def _store_basic_radical(S: FiniteAlgebra):
-    """Store as the radical of S the span of its basis elements outside the
-    supports of its idempotents.  Only for an S built basic, its basis the
-    primitive idempotents and a basis of the radical."""
-    support = {m for e in S.idempotents for m, c in enumerate(e) if c}
-    S._radical = sparse_span(S.field, S.dim, [
-        {m: S.field.one()} for m in range(S.dim) if m not in support])
+            {m: one} for m in range(self.dim) if m not in idempotents])
 
 
 class FinModule:
@@ -166,36 +124,23 @@ class FinModule:
             action.append(out)
         return FinModule(self.algebra, q.dim, action), q
 
-    def _combination(self, terms):
-        """The action of r = sum_m r_m b_m, given as its (m, r_m) terms,
-        summed from the sparse rows of the b_m: {row: {column: value}} for
-        each row that some b_m touches, the values not reduced."""
-        action = self.sparse_action
-        acc = {}
-        for m, c in terms:
-            for i, row in action[m].items():
-                out = acc.setdefault(i, {})
-                for j, x in row:
-                    out[j] = out.get(j, 0) + c * x
-        return acc
-
     def sort_rows(self, k):
         """The rows of the action of the k-th idempotent e_k, which span
         V e_k, as {column: value}."""
-        e = self.algebra.idempotents[k]
-        return list(self._combination((m, c) for m, c in enumerate(e) if c).values())
+        return [dict(row) for row in self.sparse_action[self.algebra.idempotents[k]].values()]
 
     def sort_dim(self, k):
         """dim V e_k, the rank of the action of e_k, taken sparse."""
         return sparse_span(self.field, self.dim, self.sort_rows(k)).dim
 
-    def radical_subspace(self, alg_radical: Subspace) -> Subspace:
-        """V rad(S), the span of the rows of the radical's action; it is a
-        submodule already, rad(S) being a two-sided ideal."""
-        vecs = []
-        for r in alg_radical.nonzero_rows:
-            vecs.extend(self._combination(r).values())
-        return sparse_span(self.field, self.dim, vecs)
+    def radical_subspace(self) -> Subspace:
+        """V rad(S), the span of the rows of the actions of the basis
+        elements that are not idempotents; it is a submodule already,
+        rad(S) being a two-sided ideal."""
+        idempotents = set(self.algebra.idempotents)
+        return sparse_span(self.field, self.dim, [
+            dict(row) for m, rows in enumerate(self.sparse_action) if m not in idempotents
+            for row in rows.values()])
 
 
 def _row_times(row, A, p):
@@ -238,6 +183,15 @@ def _coordinates(sub: Subspace, vec):
     if sub.reduce_sparse(vec):
         raise NotASubspace("vector not in subspace")
     return tuple((t, c) for t, c in enumerate(vec.get(pc, 0) for pc in sub.pivots) if c)
+
+
+def _reindexed(cell, position):
+    """The (index, value) pairs of cell over a subset of the basis, each
+    index k read as position[k]; raises if some k is outside the subset."""
+    try:
+        return tuple((position[k], c) for k, c in cell)
+    except KeyError:
+        raise NotASubspace("product outside the subspace") from None
 
 
 def fin_hom(X: FinModule, Y: FinModule):
@@ -366,7 +320,7 @@ def auslander_algebra(indecomposables) -> AuslanderData:
     constants certifies S basic, or raises IsomorphicSummands naming the
     pair, and the radical is then the categorical one, every Hom(M_i, M_k)
     with i != k and each rad End(M_i): the span of the non-idempotent basis
-    elements, stored as the algebra's radical.
+    elements, which is what `radical()` returns.
     """
     summands = list(indecomposables)
     if not summands:
@@ -427,13 +381,7 @@ def auslander_algebra(indecomposables) -> AuslanderData:
         if x not in is_idempotent and any(m in is_idempotent for m, _ in cell):
             i, k, _ = basis_morphisms[x]
             raise IsomorphicSummands(i, k)
-    idempotents = []
-    for pos in idempotent_positions:
-        z = [F.zero()] * len(labels)
-        z[pos] = F.one()
-        idempotents.append(tuple(z))
-    algebra = FiniteAlgebra(F, labels, constants, idempotents)
-    _store_basic_radical(algebra)
+    algebra = FiniteAlgebra(F, labels, constants, idempotent_positions)
     return AuslanderData(algebra, summands, T, basis_morphisms, homs)
 
 
@@ -451,26 +399,18 @@ def projective_row(data_or_algebra, k) -> FinModule:
 def _right_ideal_action(S: FiniteAlgebra, k):
     """(dim, sparse action) of e_k S, from the structure constants.
 
-    e_k S is a right ideal, so the span of the e_k b_j is closed under the
-    action.  The action matrix of b_m has as row r the coordinates of
-    (basis row r) b_m, which are read (and checked) only when that product
-    is nonzero."""
-    F, n = S.field, S.dim
-    one = F.one()
-
-    def right_support(v):  # the m with b_i b_m nonzero for some i in v
-        return {m for i in v for m in S._rows[i]}
-    ek = S._sparse(S.idempotents[k])
-    vecs = [v for v in (S._sparse_mul(ek, {j: one}) for j in right_support(ek)) if v]
-    sub = sparse_span(F, n, vecs)
-    action = [{} for _ in range(n)]  # m -> the nonzero rows of the action matrix of b_m
-    for r, row in enumerate(sub.nonzero_rows):
-        row = dict(row)
-        for m in right_support(row):
-            prod = S._sparse_mul(row, {m: one})
-            if prod:
-                action[m][r] = _coordinates(sub, prod)
-    return sub.dim, tuple(action)
+    Each b_j lies in one corner, so e_k b_j is b_j or zero, and e_k S is
+    spanned by the b_j with e_k b_j nonzero.  The action matrix of b_m has
+    as row r the product (basis element r) b_m, re-indexed over that basis;
+    a product outside e_k S raises NotASubspace."""
+    rows = S._rows
+    basis = sorted(rows[S.idempotents[k]])
+    position = {j: r for r, j in enumerate(basis)}
+    action = [{} for _ in range(S.dim)]  # m -> the nonzero rows of the action matrix of b_m
+    for r, j in enumerate(basis):
+        for m, cell in rows[j].items():
+            action[m][r] = _reindexed(cell, position)
+    return len(basis), tuple(action)
 
 
 def simple_module(data_or_algebra, k) -> FinModule:
@@ -478,8 +418,7 @@ def simple_module(data_or_algebra, k) -> FinModule:
     S = data_or_algebra.algebra if isinstance(data_or_algebra, AuslanderData) \
         else data_or_algebra
     row = projective_row(S, k)
-    rad = row.radical_subspace(S.radical())
-    quo, _ = row.quotient(rad)
+    quo, _ = row.quotient(row.radical_subspace())
     return quo
 
 
@@ -588,49 +527,35 @@ def quotient_modules(functors, serre: SerreData):
     quotient is fin_hom(Xe, Ye) and quotient isomorphism is isomorphism of
     eSe-modules.
 
-    eSe is the span of the e b_m e on its RREF basis, its constants S's own
-    read over that basis and its idempotents the e_i outside Sigma, in
-    order.  Xe is the span of the X e_i outside Sigma, and each basis
-    element of eSe acts on it by its S-coordinates.
-
-    S is basic as `auslander_algebra` builds it: each basis element lies in
-    one corner e_i S e_k, and the idempotents are basis elements.  So the
-    RREF basis of eSe is the b_m of the kept corners, and eSe is basic in
-    the same way: its radical, the span of its non-idempotent basis
-    elements, is stored."""
+    Each b_m of S lies in one corner e_i S e_j, so eSe is spanned by the
+    b_m of the kept corners, those with e_i b_m and b_m e_j nonzero for
+    some i and j outside Sigma.  Its constants are S's own re-indexed over
+    them, and its idempotents the e_i outside Sigma, in order, so eSe is
+    basic in the same way as S.  Xe is the span of the X e_i outside Sigma,
+    and each basis element b_m of eSe acts on it as on X."""
     functors = list(functors)
     if not functors:
         return []
     S = functors[0].algebra
     if any(X.algebra is not S for X in functors):
         raise AlgebraMismatch("quotient of modules over different algebras")
-    F, p = S.field, S.field.char
+    F, rows = S.field, S._rows
     kept = [i for i in range(len(S.idempotents)) if i not in serre.simples]
-    acc = {}
-    for i in kept:
-        for m, c in S._sparse(S.idempotents[i]).items():
-            acc[m] = acc.get(m, 0) + c
-    e = _nonzero(acc, p)
-    corner = S._corner(e, e)
-    basis = [dict(row) for row in corner.nonzero_rows]
+    ends = {S.idempotents[i] for i in kept}
+    basis = sorted({m for e in ends for m in rows[e] if not ends.isdisjoint(rows[m])})
+    position = {m: t for t, m in enumerate(basis)}
     constants = {}
     for a, x in enumerate(basis):
-        for b, y in enumerate(basis):
-            product = S._sparse_mul(x, y)
-            if product:
-                constants[a, b] = _coordinates(corner, product)
-    idempotents = []
-    for i in kept:
-        coordinates = dict(_coordinates(corner, S._sparse(S.idempotents[i])))
-        idempotents.append(tuple(coordinates.get(t, F.zero()) for t in range(corner.dim)))
-    eSe = FiniteAlgebra(F, [S.labels[c] for c in corner.pivots], constants, idempotents)
-    _store_basic_radical(eSe)
+        for y, cell in rows[x].items():
+            if y in position:
+                constants[a, position[y]] = _reindexed(cell, position)
+    eSe = FiniteAlgebra(F, [S.labels[m] for m in basis], constants,
+                        [position[S.idempotents[i]] for i in kept])
 
     def corner_module(X):
         sub = sparse_span(F, X.dim, [row for i in kept for row in X.sort_rows(i)])
-        actions = ({r: tuple(row.items()) for r, row in X._combination(x.items()).items()}
-                   for x in basis)
-        return FinModule(eSe, sub.dim, _restricted_action(sub, actions, p))
+        actions = (X.sparse_action[m] for m in basis)
+        return FinModule(eSe, sub.dim, _restricted_action(sub, actions, F.char))
     return [corner_module(X) for X in functors]
 
 

@@ -17,7 +17,7 @@ from .errors import (
 from .linalg import Matrix, QuotientSpace
 from .ppform import (
     PpFormula, PpMap, PpPair, combine_map_formulas, compose_map_formulas, conj,
-    difference_map, identity_map_formula, pad_free, zero_map_formula,
+    identity_map_formula, pad_free, zero_map_formula,
 )
 from .ppeval import certify_pair, check_pp_map, eval_formula, graph_check, pp_implies
 from .rep import (
@@ -109,12 +109,10 @@ def _relation_composite(F: InterpretationFunctor, rel):
 def _map_is_zero(F, sigma: PpFormula, src_pair: PpPair, tgt_pair: PpPair) -> bool:
     """(sigma & phi) <= psi' : the composite is the zero map of pairs."""
     n = len(src_pair.free_sorts)
-    zero = zero_map_formula(F.source_algebra, src_pair.free_sorts, tgt_pair.free_sorts)
-    delta = difference_map(sigma, zero, n)
     phi = src_pair.top
-    merged = conj(delta, phi,
+    merged = conj(sigma, phi,
                   identify=[(x.name, b.name) for x, b
-                            in zip(delta.free_vars[:n], phi.free_vars)])
+                            in zip(sigma.free_vars[:n], phi.free_vars)])
     padded = pad_free(tgt_pair.bottom, src_pair.free_sorts, front=True)
     return pp_implies(merged, padded, F.test_modules).holds
 

@@ -29,14 +29,6 @@ class SortedSubspace:
     def dim(self):
         return self.space.dim
 
-    def offsets(self):
-        out = []
-        total = 0
-        for _, d in self.sorts:
-            out.append(total)
-            total += d
-        return out, total
-
     def contains_tuple(self, vectors):
         flat = tuple(x for vec in vectors for x in vec)
         return self.space.contains_vector(flat)

@@ -341,9 +341,3 @@ def combine_map_formulas(rho1: PpFormula, rho2: PpFormula, n: int, c1, c2) -> Pp
                                       (v2.name, one.scale(F.neg(c2))))))
     bound = list(merged.bound_vars) + list(merged.free_vars[n:n + len(y1)]) + list(y2m)
     return PpFormula(rho1.algebra, new_free, bound, eqs)
-
-
-def difference_map(rho1: PpFormula, rho2: PpFormula, n_inputs: int) -> PpFormula:
-    """delta(xbar, ybar): exists y1,y2 (rho1(x,y1) & rho2(x,y2) & y = y1 - y2)."""
-    F = rho1.algebra.field
-    return combine_map_formulas(rho1, rho2, n_inputs, F.one(), F.neg(F.one()))

@@ -6,15 +6,18 @@ The tests build others by hand, through `algebra` and `module` here.  These
 also take the dense forms, a multiplication table of coordinate tuples and
 action matrices, convert them, and check every axiom: associativity, the
 idempotents orthogonal, primitive with split corners and summing to the
-unit, and the unit and the products acting as they should on a module.  An
-algebra built here stores the radical that the iterated trace form of its
-regular representation gives, where the characteristic allows.
+unit, and the unit and the products acting as they should on a module.
+The idempotents, given as coordinate tuples, must then be basis vectors, and
+the algebra basic in the way `FiniteAlgebra` assumes: each basis element in
+one corner e_i S e_j, and the basis elements other than the idempotents
+spanning the radical that the iterated trace form of the regular
+representation gives, where the characteristic allows.
 
-The rest is the general-algebra surface that only the tests use: the dense
-table and products of dense vectors, corners, the regular module, submodule
-closures and restriction, indecomposability by the trace form, and the
-presentation of a bound quiver algebra by structure constants with the
-search for an isomorphism to it.
+The rest is the general-algebra surface that only the tests use: sparse and
+dense products of their own, the dense table, corners, the regular module,
+submodule closures and restriction, indecomposability by the trace form,
+and the presentation of a bound quiver algebra by structure constants with
+the search for an isomorphism to it.
 """
 
 from __future__ import annotations
@@ -55,14 +58,17 @@ def sparse_action(mats, dim):
 
 
 def algebra(field, labels, constants, idempotents) -> FiniteAlgebra:
-    """The checked algebra of `constants`, sparse or a dense table, with its
-    trace-form radical stored when char 0 or char > dim."""
+    """The checked algebra of `constants`, sparse or a dense table, its
+    idempotents given as coordinate tuples.  The axioms are checked on those
+    tuples; each must then be a basis vector, whose index `FiniteAlgebra`
+    takes, and the algebra basic in the way that the index reads assume."""
     if not isinstance(constants, Mapping):
         constants = sparse_constants(constants, len(labels))
-    S = FiniteAlgebra(field, labels, constants, idempotents)
-    check_algebra(S)
-    if field.char == 0 or field.char > S.dim:
-        S._radical = trace_radical(S)
+    bare = FiniteAlgebra(field, labels, constants, ())
+    idempotents = [sparse(bare, e) for e in idempotents]
+    check_axioms(bare, idempotents)
+    S = FiniteAlgebra(field, labels, constants, [basis_index(field, e) for e in idempotents])
+    check_basic(S)
     return S
 
 
@@ -77,25 +83,59 @@ def module(S: FiniteAlgebra, dim, action) -> FinModule:
 
 
 def check_algebra(S: FiniteAlgebra):
+    """The axioms of `check_axioms` on the idempotents of S, and S basic as
+    `check_basic` asks."""
+    one = S.field.one()
+    check_axioms(S, [{e: one} for e in S.idempotents])
+    check_basic(S)
+
+
+def check_axioms(S: FiniteAlgebra, idempotents):
+    """Associativity, and the idempotents, given as {index: coordinate},
+    orthogonal, primitive with split corners and summing to the unit."""
     n = S.dim
     check_associative(S)
-    one = S._sparse(unit_vector(S))
+    one = {}
+    for e in idempotents:
+        one = sparse_add(S, one, e)
     for i in range(n):
         b = {i: S.field.one()}
-        if S._sparse_mul(one, b) != b or S._sparse_mul(b, one) != b:
+        if sparse_mul(S, one, b) != b or sparse_mul(S, b, one) != b:
             raise PpcatError("idempotents do not sum to a unit")
-    idempotents = [S._sparse(e) for e in S.idempotents]
     for a, ea in enumerate(idempotents):
         for b, eb in enumerate(idempotents):
-            if S._sparse_mul(ea, eb) != (ea if a == b else {}):
+            if sparse_mul(S, ea, eb) != (ea if a == b else {}):
                 raise PpcatError("idempotents are not orthogonal")
     # primitivity: each corner is local (corner / corner-radical is 1-dim)
-    for k in range(len(S.idempotents)):
-        c = corner(S, k, k)
+    for k, e in enumerate(idempotents):
+        c = corner_space(S, e, e)
         if c.dim == 0:
             raise PpcatError("zero idempotent")
         if corner_residue_dim(S, c) != 1:
             raise NotSplitEndo("idempotent %d is not primitive with split corner" % k)
+
+
+def basis_index(field, e):
+    """k for the idempotent e = b_k, given as {index: coordinate}."""
+    if len(e) != 1 or next(iter(e.values())) != field.one():
+        raise PpcatError("idempotent is not a basis vector")
+    return next(iter(e))
+
+
+def check_basic(S: FiniteAlgebra):
+    """Each basis element b_m lies in one corner: e_k b_m and b_m e_k are
+    b_m or zero for every idempotent e_k, which, the e_k summing to the
+    unit, puts b_m in exactly one e_i S e_j.  And the basis elements other
+    than the e_k span the radical: the trace form's, where the
+    characteristic allows."""
+    rows = S._rows
+    for m in range(S.dim):
+        alone = ((m, S.field.one()),)
+        if any(rows[e].get(m, alone) != alone or rows[m].get(e, alone) != alone
+               for e in S.idempotents):
+            raise PpcatError("basis element %d is not in one corner" % m)
+    if (S.field.char == 0 or S.field.char > S.dim) and S.radical() != trace_radical(S):
+        raise PpcatError("the non-idempotent basis elements do not span the radical")
 
 
 def check_associative(S: FiniteAlgebra):
@@ -125,8 +165,8 @@ def check_associative(S: FiniteAlgebra):
             for m in b_ij:
                 ks.update(rows[m])
             for k in ks:
-                if S._sparse_mul(b_ij, {k: one}) != \
-                        S._sparse_mul({i: one}, dict(row_j.get(k, ()))):
+                if sparse_mul(S, b_ij, {k: one}) != \
+                        sparse_mul(S, {i: one}, dict(row_j.get(k, ()))):
                     raise PpcatError("multiplication table is not associative")
 
 
@@ -139,8 +179,8 @@ def corner_residue_dim(S: FiniteAlgebra, c: Subspace):
         raise CharacteristicTooSmall("corner check needs larger characteristic")
     if d == 1:  # a 1-dimensional unital algebra is K
         return 1
-    rows = [S._sparse(r) for r in c.basis_rows()]
-    mats = [Matrix.from_rows(F, [c.coordinates(dense(S, S._sparse_mul(b, r))) for b in rows])
+    rows = [sparse(S, r) for r in c.basis_rows()]
+    mats = [Matrix.from_rows(F, [c.coordinates(dense(S, sparse_mul(S, b, r))) for b in rows])
             for r in rows]
     return d - trace_form_radical(trace_gram(F, [(m,) for m in mats])).dim
 
@@ -153,14 +193,71 @@ def check_module(V: FinModule):
 
     def reduced(rows):  # {row: {column: value}} without zero entries and rows
         return {i: r for i, r in ((i, _nonzero(row, p)) for i, row in rows.items()) if r}
-    unit = ((m, c) for m, c in enumerate(unit_vector(S)) if c)
-    if reduced(V._combination(unit)) != {i: {i: 1} for i in range(V.dim)}:
+    unit = [(e, V.field.one()) for e in S.idempotents]
+    if reduced(combination(V, unit)) != {i: {i: 1} for i in range(V.dim)}:
         raise PpcatError("unit does not act as the identity")
     for i, A in enumerate(action):
         for j, B in enumerate(action):
             prod = {r: _row_times(row, B, p) for r, row in A.items()}
-            if reduced(V._combination(S._rows[i].get(j, ()))) != reduced(prod):
+            if reduced(combination(V, S._rows[i].get(j, ()))) != reduced(prod):
                 raise PpcatError("action does not respect the structure constants")
+
+
+# -- sparse products ------------------------------------------------------------
+
+
+def sparse(S: FiniteAlgebra, vec):
+    """vec as {index: nonzero coordinate}, the coordinates as field values."""
+    add, zero = S.field.add, S.field.zero()
+    return {k: c for k, c in ((k, add(zero, c)) for k, c in enumerate(vec) if c) if c}
+
+
+def sparse_add(S: FiniteAlgebra, a, b):
+    """a + b for a and b given as {index: nonzero coordinate}, in that form."""
+    F = S.field
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = F.add(out.get(k, F.zero()), c)
+    return {k: c for k, c in out.items() if not F.is_zero(c)}
+
+
+def sparse_mul(S: FiniteAlgebra, a, b):
+    """a b for a and b given as {index: nonzero coordinate}, in that form;
+    only the products b_i b_j with nonzero constants are visited."""
+    p = S.field.char
+    acc = {}
+    for i, ca in a.items():
+        row = S._rows[i]
+        if row:
+            for j, cb in b.items():
+                cell = row.get(j)
+                if cell:
+                    c = ca * cb
+                    for k, ck in cell:
+                        acc[k] = acc.get(k, 0) + c * ck
+    return _nonzero(acc, p)
+
+
+def corner_space(S: FiniteAlgebra, e, f) -> Subspace:
+    """e S f, for e and f given as {index: nonzero coordinate}: the span of
+    the e b_i f, formed only for the b_i with b_a b_i nonzero for some a in
+    the support of e (e kills every other b_i)."""
+    one = S.field.one()
+    return sparse_span(S.field, S.dim, [
+        sparse_mul(S, sparse_mul(S, e, {i: one}), f) for i in {i for a in e for i in S._rows[a]}])
+
+
+def combination(V: FinModule, terms):
+    """The action on V of r = sum_m r_m b_m, given as its (m, r_m) terms,
+    summed from the sparse rows of the b_m: {row: {column: value}} for each
+    row that some b_m touches, the values not reduced."""
+    acc = {}
+    for m, c in terms:
+        for i, row in V.sparse_action[m].items():
+            out = acc.setdefault(i, {})
+            for j, x in row:
+                out[j] = out.get(j, 0) + c * x
+    return acc
 
 
 # -- dense views ----------------------------------------------------------------
@@ -182,24 +279,22 @@ def table(S: FiniteAlgebra):
 
 def mul(S: FiniteAlgebra, a, b):
     """a b for coordinate tuples a and b."""
-    return dense(S, S._sparse_mul(S._sparse(a), S._sparse(b)))
+    return dense(S, sparse_mul(S, sparse(S, a), sparse(S, b)))
 
 
 def basis_vector(S: FiniteAlgebra, k):
     return dense(S, {k: S.field.one()})
 
 
-def unit_vector(S: FiniteAlgebra):
-    F = S.field
-    out = [F.zero()] * S.dim
-    for e in S.idempotents:
-        out = [F.add(a, b) for a, b in zip(out, e)]
-    return tuple(out)
+def idempotent_vectors(S: FiniteAlgebra):
+    """The coordinate tuples of the idempotents, as `algebra` takes them."""
+    return [basis_vector(S, e) for e in S.idempotents]
 
 
 def corner(S: FiniteAlgebra, k, l) -> Subspace:
     """Basis vectors of e_k S e_l."""
-    return S._corner(S._sparse(S.idempotents[k]), S._sparse(S.idempotents[l]))
+    one = S.field.one()
+    return corner_space(S, {S.idempotents[k]: one}, {S.idempotents[l]: one})
 
 
 # -- modules --------------------------------------------------------------------
@@ -347,7 +442,7 @@ def _standard_basis_mapping(A, B, perm, cornersA, cornersB):
         slot = usedB.setdefault((perm[k], perm[l]), 0)
         cand = tgt.basis_rows()
         if k == l:
-            idb = B.idempotents[perm[k]]
+            idb = basis_vector(B, B.idempotents[perm[k]])
             cand = [idb] + [r for r in cand if r != tuple(idb)]
         if slot >= len(cand):
             return None

@@ -21,7 +21,7 @@ from ppcat.funcat import FinModule, SerreData, SkeletonReport, fin_hom
 from ppcat.linalg import Matrix, QuotientSpace, Solver, Subspace, kernel, sparse_span
 from ppcat.rep import linear_combination
 
-from algebra_oracle import restrict, submodule
+from algebra_oracle import combination, restrict, submodule
 from linalg_oracle import row_apply, solve
 
 
@@ -29,17 +29,15 @@ def torsion_part(X: FinModule, serre: SerreData) -> Subspace:
     """t(X): the largest submodule with all composition factors in Sigma,
     the v with v S e_i = 0 for every i outside Sigma.  S e_i is spanned by
     the products b_m e_i, so t(X) is one kernel: of the columns of the
-    action of every nonzero b_m e_i."""
+    action of every nonzero b_m e_i, read off the structure constants."""
     S = X.algebra
-    one = X.field.one()
     columns = []
     for i in range(len(S.idempotents)):
         if i not in serre.simples:
-            e = S._sparse(S.idempotents[i])
+            e = S.idempotents[i]
             for m in range(S.dim):
-                x = S._sparse_mul({m: one}, e)
                 by_column = {}
-                for r, row in X._combination(x.items()).items():
+                for r, row in combination(X, S._rows[m].get(e, ())).items():
                     for j, y in row.items():
                         by_column.setdefault(j, {})[r] = y
                 columns.extend(by_column.values())

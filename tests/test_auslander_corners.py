@@ -223,7 +223,7 @@ def test_perturbed_path_algebra_tables_get_the_dense_verdict(F, data):
     n = A.dim
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     table[i][j][k] = F.add(table[i][j][k], F.from_int(data.draw(st.integers(1, 2))))
-    check_verdict(F, A.labels, table, A.idempotents)
+    check_verdict(F, A.labels, table, oracle.idempotent_vectors(A))
 
 
 def test_spurious_term_in_a_product_of_arrows_is_rejected():
@@ -232,7 +232,7 @@ def test_spurious_term_in_a_product_of_arrows_is_rejected():
     e1, a, b = A.labels.index("id(1)"), A.labels.index("a"), A.labels.index("b")
     table[e1][a][b] = QQ.one()  # e1 * a picks up a spurious b
     assert not dense_associative(QQ, table)
-    check_verdict(QQ, A.labels, table, A.idempotents)
+    check_verdict(QQ, A.labels, table, oracle.idempotent_vectors(A))
 
 
 @functools.cache
@@ -250,7 +250,7 @@ def test_perturbed_auslander_constants_get_the_dense_verdict(F, kind, data):
     n = S.dim
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     table[i][j][k] = F.add(table[i][j][k], F.one())
-    check_verdict(F, S.labels, table, S.idempotents)
+    check_verdict(F, S.labels, table, oracle.idempotent_vectors(S))
 
 
 # -- the constructed constants pass the constructor's checks -------------------

@@ -1,7 +1,7 @@
 """The radical that `auslander_algebra` reads off its construction.
 
-- The stored radical, the span of the non-idempotent basis elements,
-  against the iterated trace form on the regular Gram matrix, by `repr`.
+- The radical, the span of the non-idempotent basis elements, against the
+  iterated trace form on the regular Gram matrix, by `repr`.
 - A structurally equal copy of a summand, and a copy conjugated by an
   invertible matrix at each vertex, are refused as `IsomorphicSummands`.
 - The one-dimensional base cases of `endo_radical` and of the oracles
@@ -48,17 +48,14 @@ def summand_lists(draw, fields=FIELDS):
     return summands[::draw(st.sampled_from([1, -1]))]
 
 
-# -- the stored radical --------------------------------------------------------
+# -- the radical ---------------------------------------------------------------
 
 
 @SETTINGS
 @given(summand_lists())
-def test_stored_radical_is_the_trace_form_radical(summands):
+def test_radical_is_the_trace_form_radical(summands):
     S = auslander_algebra(summands).algebra
-    stored = S._radical
-    assert stored is not None
-    assert repr(stored) == repr(oracle.trace_radical(S))
-    assert S.radical() is stored
+    assert repr(S.radical()) == repr(oracle.trace_radical(S))
 
 
 # -- isomorphic summands --------------------------------------------------------
@@ -145,22 +142,17 @@ def test_one_dimensional_base_cases_match_the_trace_form(summands):
                    for M in summands)
         return
     S = data.algebra
-    radical = outcome(S.radical)
-    assert radical is gated(F, S.dim, lambda: S._radical)
     for k in range(len(S.idempotents)):
         c = oracle.corner(S, k, k)
 
         def corner_residue_dim():
-            rows = [S._sparse(r) for r in c.basis_rows()]
-            mats = [Matrix.from_rows(F, [c.coordinates(oracle.dense(S, S._sparse_mul(b, r)))
-                                         for b in rows]) for r in rows]
+            rows = c.basis_rows()
+            mats = [Matrix.from_rows(F, [c.coordinates(oracle.mul(S, b, r)) for b in rows])
+                    for r in rows]
             return c.dim - trace_radical(F, [(m,) for m in mats]).dim
         assert outcome(lambda: oracle.corner_residue_dim(S, c)) == \
             gated(F, c.dim, corner_residue_dim)
-        functors = [projective_row(data, k)]
-        if radical is not CharacteristicTooSmall:
-            functors.append(simple_module(data, k))
-        for X in functors:
+        for X in (projective_row(data, k), simple_module(data, k)):
             ends = fin_hom(X, X)
             want = gated(F, max(len(ends), X.dim),
                          lambda: len(ends) - trace_radical(F, [(f,) for f in ends]).dim == 1)

@@ -162,7 +162,7 @@ def test_projective_rows_built_once():
     alg = a2_algebra()
     data = auslander_algebra([a2_p1(alg), a2_p2(alg), a2_s1(alg)])
     S = data.algebra
-    copy = oracle.algebra(S.field, S.labels, oracle.table(S), S.idempotents)
+    copy = oracle.algebra(S.field, S.labels, oracle.table(S), oracle.idempotent_vectors(S))
     for k in range(len(S.idempotents)):
         row = projective_row(data, k)
         assert projective_row(S, k).sparse_action is row.sparse_action

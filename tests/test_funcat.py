@@ -333,14 +333,13 @@ def test_corner_check_accepts_dual_numbers():
     assert S.radical().basis_rows() == [(QQ.zero(), QQ.one())]
 
 
-def test_an_algebra_built_unchecked_has_no_radical_until_one_is_stored():
+def test_an_algebra_built_unchecked_reads_its_radical_off_its_idempotents():
     # the dual numbers in the sparse form: 1 * 1 = 1, 1 * x = x * 1 = x
     constants = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)]}
-    S = FiniteAlgebra(QQ, ("1", "x"), constants, [(QQ.one(), QQ.zero())])
-    with pytest.raises(PpcatError, match="no radical stored"):
-        S.radical()
-    checked = oracle.algebra(QQ, S.labels, constants, S.idempotents)
-    assert checked.radical().basis_rows() == [(QQ.zero(), QQ.one())]
+    S = FiniteAlgebra(QQ, ("1", "x"), constants, [0])
+    assert S.radical().basis_rows() == [(QQ.zero(), QQ.one())]
+    checked = oracle.algebra(QQ, S.labels, constants, oracle.idempotent_vectors(S))
+    assert checked.radical() == S.radical()
 
 
 # -- the sparse associativity check against a dense oracle -------------------
@@ -376,12 +375,12 @@ def test_one_entry_perturbation_is_caught_as_the_dense_check_would(F, data):
     table[i][j][k] = F.add(table[i][j][k], delta)
     if _dense_associative(F, table):
         try:
-            oracle.algebra(F, A.labels, table, A.idempotents)
+            oracle.algebra(F, A.labels, table, oracle.idempotent_vectors(A))
         except PpcatError as exc:
             assert "not associative" not in str(exc)
     else:
         with pytest.raises(PpcatError, match="not associative"):
-            oracle.algebra(F, A.labels, table, A.idempotents)
+            oracle.algebra(F, A.labels, table, oracle.idempotent_vectors(A))
 
 
 def test_perturbed_product_of_arrows_is_not_associative():
@@ -390,7 +389,7 @@ def test_perturbed_product_of_arrows_is_not_associative():
     table[e1][a][b] = QQ.one()  # e1 * a picks up a spurious b
     assert not _dense_associative(QQ, table)
     with pytest.raises(PpcatError, match="not associative"):
-        oracle.algebra(QQ, A.labels, table, A.idempotents)
+        oracle.algebra(QQ, A.labels, table, oracle.idempotent_vectors(A))
 
 
 def test_non_orthogonal_idempotents_are_rejected():
@@ -399,9 +398,11 @@ def test_non_orthogonal_idempotents_are_rejected():
     a = oracle.basis_vector(A, A.labels.index("a"))
     plus = tuple(QQ.add(x, y) for x, y in zip(e[0], a))
     minus = tuple(QQ.sub(x, y) for x, y in zip(e[2], a))
-    # conjugating by 1 + a gives orthogonal idempotents again: accepted
-    oracle.algebra(QQ, A.labels, table, [plus, tuple(QQ.sub(x, y) for x, y in zip(e[1], a)),
-                                         e[2]])
+    # conjugating by 1 + a gives orthogonal idempotents again, which pass
+    # every axiom and are refused only for not being basis vectors
+    with pytest.raises(PpcatError, match="not a basis vector"):
+        oracle.algebra(QQ, A.labels, table,
+                       [plus, tuple(QQ.sub(x, y) for x, y in zip(e[1], a)), e[2]])
     # e1 + a, e2, e3 - a sum to 1, but (e1 + a) e2 = a
     with pytest.raises(PpcatError, match="not orthogonal"):
         oracle.algebra(QQ, A.labels, table, [plus, e[1], minus])

@@ -5,7 +5,7 @@ import pytest
 from ppcat.errors import SortMismatch, UnknownVariable
 from ppcat.linalg import Subspace, project
 from ppcat.ppform import (
-    Equation, PpFormula, PpPair, Var, conj, difference_map, dual, exists,
+    Equation, PpFormula, PpPair, Var, combine_map_formulas, conj, dual, exists,
     identity_map_formula, pad_free, zero_map_formula,
 )
 from ppcat.ppeval import eval_formula
@@ -199,6 +199,12 @@ def test_dual_swaps_top_and_bottom():
     assert eval_formula(d_top, dual_module(S1)).dim == 0
     d_zero = dual(zero_formula(alg, ("1",)))
     assert eval_formula(d_zero, dual_module(S1)).dim == 1
+
+
+def difference_map(rho1, rho2, n_inputs):
+    """delta(xbar, ybar): exists y1, y2 (rho1(x, y1) & rho2(x, y2) & y = y1 - y2)."""
+    F = rho1.algebra.field
+    return combine_map_formulas(rho1, rho2, n_inputs, F.one(), F.neg(F.one()))
 
 
 def test_difference_map_recovers_rho():

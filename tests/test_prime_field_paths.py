@@ -15,6 +15,7 @@ from algebra_oracle import fin_is_indecomposable
 from fixtures import a2_algebra, a2_p1, a2_p2, a2_s1, jordan_module, loop_algebra
 
 F2 = PrimeField(2)
+F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
@@ -63,8 +64,19 @@ def test_funcat_works_over_f7():
 def test_characteristic_too_small_is_raised():
     alg = a2_algebra(F2)
     with pytest.raises(CharacteristicTooSmall):
-        # dim S = 5 > 2, so the radical computation must refuse
+        # End(P1) is K, but P1 has total dimension 2, so endo_radical refuses
         auslander_algebra([a2_p1(alg), a2_p2(alg), a2_s1(alg)]).algebra.radical()
+
+
+def test_radical_needs_no_characteristic_above_the_algebra_dim():
+    # char 5 is not above dim S = 5, as a trace-form radical would need;
+    # the radical, the span of the two non-idempotent basis elements, is
+    # read off the construction instead
+    alg = a2_algebra(F5)
+    data = auslander_algebra([a2_p1(alg), a2_p2(alg), a2_s1(alg)])
+    assert data.algebra.dim == 5 and data.algebra.radical().dim == 2
+    assert [simple_module(data, k).dim for k in range(3)] == [1, 1, 1]
+    assert [projective_row(data, k).dim for k in range(3)] == [2, 2, 1]
 
 
 def test_endo_radical_characteristic_gate():

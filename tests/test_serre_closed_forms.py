@@ -18,7 +18,7 @@ from ppcat.funcat import FinModule, SerreData
 from ppcat.linalg import QuotientSpace, Subspace, kernel
 
 from algebra_oracle import sparse_action
-from fixtures import dense_act_vector
+from fixtures import dense_act_vector, dense_action
 from linalg_oracle import row_apply, vstack
 from serre_oracle import minimal_cotorsion, torsion_part
 from test_sparse_modules import dense_quotient, dense_submodule, summand_cases
@@ -33,10 +33,11 @@ def oracle_socle(X, rad):
 
 def oracle_isotypic_socle_part(X, rad, indices):
     soc = oracle_socle(X, rad)
+    action = dense_action(X)
     vecs = []
     for r in soc.basis_rows():
         for i in indices:
-            vecs.append(row_apply(r, dense_act_vector(X, X.algebra.idempotents[i])))
+            vecs.append(row_apply(r, action[X.algebra.idempotents[i]]))
     return Subspace.from_vectors(X.field, X.dim, vecs)
 
 
@@ -66,7 +67,7 @@ def oracle_minimal_cotorsion(X, serre, rad):
     while True:
         vecs = []
         rad_mats = [dense_act_vector(X, r) for r in rad.basis_rows()]
-        out_mats = [dense_act_vector(X, X.algebra.idempotents[i]) for i in outside]
+        out_mats = [dense_action(X)[X.algebra.idempotents[i]] for i in outside]
         for r in current.basis_rows():
             for m in rad_mats + out_mats:
                 vecs.append(row_apply(r, m))

@@ -398,7 +398,7 @@ def test_dense_input_is_checked():
 def test_projective_row_checks_closure_under_the_action():
     # unchecked constants with e0 x1 = x1 but x1 x1 = x2 outside e0 S
     S = FiniteAlgebra(QQ, ["x0", "x1", "x2"], {(0, 0): [(0, 1)], (0, 1): [(1, 1)],
-                                               (1, 1): [(2, 1)]}, [(1, 0, 0)])
+                                               (1, 1): [(2, 1)]}, [0])
     with pytest.raises(NotASubspace):
         projective_row(S, 0)
 
